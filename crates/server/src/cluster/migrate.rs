@@ -438,22 +438,8 @@ fn forward(
         return;
     }
     conn.enqueue(&[b"ASKING"]);
-    match op {
-        ReplOp::Set { key, value } => {
-            conn.enqueue(&[b"SET", key, value]);
-            pending.push(false);
-        }
-        // TTLs migrate as the absolute deadline the source's primary
-        // computed — the target never re-derives time.
-        ReplOp::SetEx { key, value, expire_at_ms } => {
-            conn.enqueue(&[b"SET", key, value, b"PXAT", expire_at_ms.to_string().as_bytes()]);
-            pending.push(false);
-        }
-        ReplOp::Del { key } => {
-            conn.enqueue(&[b"DEL", key]);
-            pending.push(true);
-        }
-    }
+    op.with_command(|parts| conn.enqueue(parts));
+    pending.push(matches!(op, ReplOp::Del { .. }));
     cl.migration_keys.fetch_add(1, Ordering::Relaxed);
     cl.keys_migrated_total.fetch_add(1, Ordering::Relaxed);
 }

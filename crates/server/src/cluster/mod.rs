@@ -418,26 +418,6 @@ impl ClusterState {
     }
 }
 
-/// The keys a command addresses, for slot routing. `None` means the
-/// command is not keyed (node-local or administrative) and bypasses the
-/// slot gate entirely — `SCAN`/`KEYS`/`DBSIZE`/`SNAPSHOT` deliberately
-/// stay node-local under cluster mode.
-pub(crate) fn keyed_args<'a>(name: &str, args: &'a [Vec<u8>]) -> Option<Vec<&'a [u8]>> {
-    let keys: Vec<&[u8]> = match name {
-        "GET" | "SET" | "EXPIRE" | "PEXPIRE" | "TTL" | "PTTL" | "PERSIST" => {
-            vec![args.first()?.as_slice()]
-        }
-        "MGET" | "DEL" | "UNLINK" | "EXISTS" => args.iter().map(|a| a.as_slice()).collect(),
-        "MSET" => args.iter().step_by(2).map(|a| a.as_slice()).collect(),
-        _ => return None,
-    };
-    if keys.is_empty() {
-        None // malformed arity; let dispatch produce the error
-    } else {
-        Some(keys)
-    }
-}
-
 fn cluster_err(msg: impl Into<String>) -> Value {
     Value::Error(format!("ERR {}", msg.into()))
 }
@@ -646,30 +626,6 @@ mod tests {
 
     fn state(announce: &str) -> Arc<ClusterState> {
         ClusterState::open(announce.to_string(), None).unwrap()
-    }
-
-    #[test]
-    fn keyed_args_extracts_the_right_keys() {
-        let args = |v: &[&str]| v.iter().map(|s| s.as_bytes().to_vec()).collect::<Vec<_>>();
-        assert_eq!(keyed_args("GET", &args(&["k"])).unwrap(), vec![b"k".as_slice()]);
-        assert_eq!(keyed_args("SET", &args(&["k", "v"])).unwrap(), vec![b"k".as_slice()]);
-        assert_eq!(
-            keyed_args("MGET", &args(&["a", "b"])).unwrap(),
-            vec![b"a".as_slice(), b"b".as_slice()]
-        );
-        assert_eq!(
-            keyed_args("MSET", &args(&["a", "1", "b", "2"])).unwrap(),
-            vec![b"a".as_slice(), b"b".as_slice()],
-            "MSET keys are every other argument"
-        );
-        assert_eq!(
-            keyed_args("DEL", &args(&["a", "b", "c"])).unwrap().len(),
-            3
-        );
-        assert!(keyed_args("PING", &args(&[])).is_none());
-        assert!(keyed_args("INFO", &args(&["replication"])).is_none());
-        assert!(keyed_args("SCAN", &args(&["0"])).is_none(), "SCAN stays node-local");
-        assert!(keyed_args("GET", &args(&[])).is_none(), "bad arity bypasses the gate");
     }
 
     #[test]

@@ -379,14 +379,8 @@ impl Shard {
         }
         if expire_at_ms != 0 {
             self.wheel.insert(k.as_bytes().to_vec(), expire_at_ms);
-            self.record(|| ReplOp::SetEx {
-                key: k.as_bytes().to_vec(),
-                value: value.to_vec(),
-                expire_at_ms,
-            });
-        } else {
-            self.record(|| ReplOp::Set { key: k.as_bytes().to_vec(), value: value.to_vec() });
         }
+        self.record(|| ReplOp::set(k.as_bytes().to_vec(), value.to_vec(), expire_at_ms));
         Ok(())
     }
 

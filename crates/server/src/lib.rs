@@ -12,8 +12,8 @@
 //!   line in the owning shard's pool; reads are lock-free under an
 //!   epoch pin, writes serialize per shard.
 //! * [`serve`] ([`server`], [`net`]) — an event-driven TCP server
-//!   speaking a RESP2 subset (`GET` `SET` `MGET` `MSET` `DEL` `EXISTS`
-//!   `PING` `INFO` `DBSIZE` `SHUTDOWN`) with full pipelining: a fixed
+//!   speaking a RESP2 subset (one row per command in `command.rs`,
+//!   listed in the README) with full pipelining: a fixed
 //!   pool of epoll event-loop workers (default: one per CPU) drives
 //!   nonblocking connections round-robin-assigned at accept time, so
 //!   thousands of connections cost no threads and an idle server makes
@@ -56,6 +56,7 @@
 
 pub mod client;
 pub mod cluster;
+pub(crate) mod command;
 pub mod engine;
 pub mod expire;
 pub(crate) mod metrics;

@@ -28,6 +28,7 @@ use std::net::TcpStream;
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::time::{Duration, Instant};
 
+use crate::command;
 use crate::metrics::CmdFamily;
 use crate::resp::{decode_command, encode, Decode, Value};
 use crate::server::{execute, Inner, Outcome, Session, WRITE_TIMEOUT};
@@ -49,7 +50,7 @@ const COMPACT_AT: usize = 1 << 20;
 /// connection. A deeply pipelined connection past this loses its oldest
 /// spans (counted as abandoned) rather than growing without bound.
 const PENDING_TRACE_CAP: usize = 128;
-/// Bytes of command name / key kept for the worker-panic log line.
+/// Bytes of key kept for the worker-panic log line.
 const PANIC_CTX_LEN: usize = 24;
 
 /// The error sent to a connection the shutdown path can no longer
@@ -111,11 +112,11 @@ pub(crate) struct Conn {
     /// yet; completed (reply-flush stage stamped, record published) as
     /// `wsent` passes their end offset.
     pending_traces: VecDeque<PendingTrace>,
-    /// In-flight command context for the worker-panic log line: name and
-    /// key prefixes (fixed-size copies, no per-command allocation) plus
-    /// the active trace span id (0 when untraced).
-    panic_cmd: [u8; PANIC_CTX_LEN],
-    panic_cmd_len: u8,
+    /// In-flight command context for the worker-panic log line: the
+    /// command's table name, a key prefix (a fixed-size copy, no
+    /// per-command allocation) and the active trace span id (0 when
+    /// untraced).
+    panic_cmd: &'static str,
     panic_key: [u8; PANIC_CTX_LEN],
     panic_key_len: u8,
     panic_span: u64,
@@ -152,8 +153,7 @@ impl Conn {
             wsent: 0,
             cmd_mark: None,
             pending_traces: VecDeque::new(),
-            panic_cmd: [0; PANIC_CTX_LEN],
-            panic_cmd_len: 0,
+            panic_cmd: "",
             panic_key: [0; PANIC_CTX_LEN],
             panic_key_len: 0,
             panic_span: 0,
@@ -294,6 +294,9 @@ impl Conn {
                 Ok(Decode::Complete(parts, used)) => {
                     self.consumed += used;
                     inner.count_command();
+                    // The one name lookup per request: dispatch, the
+                    // gates, the histograms and the trace all read `cmd`.
+                    let cmd = command::resolve(&parts[0]);
                     // The instrumentation seam: every executed command is
                     // timed here, and the elapsed time feeds the per-family
                     // histogram and (if over threshold) the SLOWLOG. A
@@ -315,9 +318,9 @@ impl Conn {
                     } else {
                         0
                     };
-                    self.note_panic_context(&parts, span_id);
+                    self.note_panic_context(cmd.map_or("", |c| c.name), &parts, span_id);
                     let started = Instant::now();
-                    let outcome = execute(&parts, inner, &mut self.session);
+                    let outcome = execute(cmd, &parts, inner, &mut self.session);
                     let exec_end = Instant::now();
                     let exec_ns = dur_ns(exec_end - started);
                     // End the span whatever the outcome, so the
@@ -334,33 +337,29 @@ impl Conn {
                         let queue_ns =
                             queue_start.map_or(0, |t| dur_ns(t_parse.saturating_duration_since(t)));
                         let parse_ns = dur_ns(started.saturating_duration_since(t_parse));
+                        let total = queue_ns + parse_ns + exec_ns;
+                        let threshold_ns = inner.tracer.threshold_us().saturating_mul(1000);
+                        let mut s = [0u64; Stage::COUNT];
+                        s[Stage::QueueWait.index()] = queue_ns;
+                        s[Stage::Parse.index()] = parse_ns;
                         if let Some(d) = detail {
-                            let mut s = [0u64; Stage::COUNT];
-                            s[Stage::QueueWait.index()] = queue_ns;
-                            s[Stage::Parse.index()] = parse_ns;
                             s[Stage::Dispatch.index()] = d.dispatch_ns;
                             s[Stage::LockWait.index()] = d.lock_wait_ns;
                             s[Stage::Execute.index()] = d.execute_ns;
                             s[Stage::Persist.index()] = d.persist_ns;
-                            stages = Some(s);
-                            pre_total_ns = queue_ns + parse_ns + exec_ns;
                         } else {
-                            // Not sampled, but slow enough to capture
-                            // anyway — coarse: the whole execute seam lands
-                            // in the execute stage.
-                            let threshold_us = inner.tracer.threshold_us();
-                            let total = queue_ns + parse_ns + exec_ns;
-                            if threshold_us > 0 && total >= threshold_us.saturating_mul(1000) {
-                                let mut s = [0u64; Stage::COUNT];
-                                s[Stage::QueueWait.index()] = queue_ns;
-                                s[Stage::Parse.index()] = parse_ns;
-                                s[Stage::Execute.index()] = exec_ns;
-                                stages = Some(s);
-                                pre_total_ns = total;
-                            }
+                            // Not sampled, but maybe slow enough to
+                            // capture anyway — coarse: the whole execute
+                            // seam lands in the execute stage.
+                            s[Stage::Execute.index()] = exec_ns;
+                        }
+                        if detail.is_some() || (threshold_ns > 0 && total >= threshold_ns) {
+                            stages = Some(s);
+                            pre_total_ns = total;
                         }
                     }
-                    inner.metrics.observe_command(&parts, exec_end - started, self.worker, stages);
+                    let family = cmd.map_or(CmdFamily::Other, |c| c.family);
+                    inner.metrics.observe_command(family, &parts, exec_ns, self.worker, stages);
                     match outcome {
                         Outcome::Reply(v) => {
                             encode(&v, &mut self.wbuf);
@@ -368,6 +367,7 @@ impl Conn {
                                 self.push_pending_trace(
                                     inner,
                                     &parts,
+                                    family,
                                     span_id,
                                     forced,
                                     s,
@@ -446,6 +446,7 @@ impl Conn {
         &mut self,
         inner: &Inner,
         parts: &[Vec<u8>],
+        family: CmdFamily,
         span_id: u64,
         forced: Option<(u64, u32)>,
         stages_ns: [u64; Stage::COUNT],
@@ -463,10 +464,9 @@ impl Conn {
         };
         let rec =
             trace::TraceRecord::new(id, hops, parts, self.worker, stages_ns, pre_total_ns, reason);
-        let name = parts.first().map(Vec::as_slice).unwrap_or(b"");
         self.pending_traces.push_back(PendingTrace {
             rec,
-            family: CmdFamily::classify(name),
+            family,
             exec_end,
             end_off: self.wsent + self.pending() as u64,
         });
@@ -504,13 +504,10 @@ impl Conn {
         }
     }
 
-    /// Remember the in-flight command (fixed-size copies, no per-command
-    /// allocation) so a worker panic can be logged with context.
-    fn note_panic_context(&mut self, parts: &[Vec<u8>], span_id: u64) {
-        let cmd = parts.first().map(Vec::as_slice).unwrap_or(b"");
-        let n = cmd.len().min(PANIC_CTX_LEN);
-        self.panic_cmd[..n].copy_from_slice(&cmd[..n]);
-        self.panic_cmd_len = n as u8;
+    /// Remember the in-flight command (no per-command allocation) so a
+    /// worker panic can be logged with context.
+    fn note_panic_context(&mut self, cmd: &'static str, parts: &[Vec<u8>], span_id: u64) {
+        self.panic_cmd = cmd;
         let key = parts.get(1).map(Vec::as_slice).unwrap_or(b"");
         let k = key.len().min(PANIC_CTX_LEN);
         self.panic_key[..k].copy_from_slice(&key[..k]);
@@ -518,13 +515,11 @@ impl Conn {
         self.panic_span = span_id;
     }
 
-    /// The last command this connection started executing (command name
-    /// prefix, key prefix, active trace id) — the worker-panic log line.
-    pub(crate) fn panic_context(&self) -> (String, String, u64) {
-        let cmd = String::from_utf8_lossy(&self.panic_cmd[..self.panic_cmd_len as usize])
-            .into_owned();
+    /// The last command this connection started executing (command name,
+    /// key prefix, active trace id) — the worker-panic log line.
+    pub(crate) fn panic_context(&self) -> (&'static str, String, u64) {
         let key = String::from_utf8_lossy(&self.panic_key[..self.panic_key_len as usize])
             .into_owned();
-        (cmd, key, self.panic_span)
+        (self.panic_cmd, key, self.panic_span)
     }
 }

@@ -32,6 +32,8 @@ pub mod log;
 pub(crate) mod replica;
 pub mod wire;
 
+use crate::command::Cmd;
+
 pub use hub::{ReplHub, ReplSubscription, TracedOp};
 pub use log::{read_log, LogRecovery, LogWriter};
 
@@ -58,9 +60,93 @@ pub enum ReplOp {
 }
 
 impl ReplOp {
+    /// A write of `value` under `key`: the TTL form only when
+    /// `expire_at_ms` (absolute Unix ms) is set, 0 meaning no expiry.
+    pub fn set(key: Vec<u8>, value: Vec<u8>, expire_at_ms: u64) -> ReplOp {
+        if expire_at_ms == 0 {
+            ReplOp::Set { key, value }
+        } else {
+            ReplOp::SetEx { key, value, expire_at_ms }
+        }
+    }
+
     pub fn key(&self) -> &[u8] {
         match self {
             ReplOp::Set { key, .. } | ReplOp::SetEx { key, .. } | ReplOp::Del { key } => key,
         }
+    }
+
+    /// Hand `f` the op's RESP command form: exactly the client command
+    /// that would have produced it (`SET k v`, `SET k v PXAT ms`,
+    /// `DEL k`), so a replica or a migration target applies it with the
+    /// decoder the server uses for clients. A TTL always travels as the
+    /// absolute deadline: the receiver applies the primary's clock,
+    /// never its own.
+    pub fn with_command<R>(&self, f: impl FnOnce(&[&[u8]]) -> R) -> R {
+        match self {
+            ReplOp::Set { key, value } => f(&[b"SET", key, value]),
+            ReplOp::SetEx { key, value, expire_at_ms } => {
+                f(&[b"SET", key, value, b"PXAT", expire_at_ms.to_string().as_bytes()])
+            }
+            ReplOp::Del { key } => f(&[b"DEL", key]),
+        }
+    }
+
+    /// Parse the command form [`ReplOp::with_command`] produces. Any
+    /// other command, arity or `SET` modifier is an error: the stream
+    /// carries nothing else.
+    pub fn from_command(mut parts: Vec<Vec<u8>>) -> Result<ReplOp, String> {
+        let cmd = parts.first().and_then(|name| crate::command::resolve(name)).map(|c| c.cmd);
+        let op = match (cmd, parts.len()) {
+            (Some(Cmd::Set), 3) => {
+                let value = parts.pop().expect("len checked");
+                ReplOp::Set { key: parts.pop().expect("len checked"), value }
+            }
+            (Some(Cmd::Set), 5) => {
+                let ms = parts.pop().expect("len checked");
+                let px = parts.pop().expect("len checked");
+                if !px.eq_ignore_ascii_case(b"PXAT") {
+                    return Err(format!(
+                        "unexpected SET modifier {:?}",
+                        String::from_utf8_lossy(&px)
+                    ));
+                }
+                let expire_at_ms = crate::resp::parse_arg(&ms).ok_or("bad PXAT deadline")?;
+                let value = parts.pop().expect("len checked");
+                ReplOp::SetEx { key: parts.pop().expect("len checked"), value, expire_at_ms }
+            }
+            (Some(Cmd::Del), 2) => ReplOp::Del { key: parts.pop().expect("len checked") },
+            _ => {
+                let name = parts.first().map_or(b"".as_slice(), Vec::as_slice);
+                return Err(format!("unexpected command {:?}", String::from_utf8_lossy(name)));
+            }
+        };
+        Ok(op)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parts(words: &[&[u8]]) -> Vec<Vec<u8>> {
+        words.iter().map(|w| w.to_vec()).collect()
+    }
+
+    #[test]
+    fn command_form_round_trips_and_rejects_anything_else() {
+        let (k, v) = (b"k".to_vec(), b"v".to_vec());
+        for op in [
+            ReplOp::Set { key: k.clone(), value: v.clone() },
+            ReplOp::SetEx { key: k.clone(), value: v, expire_at_ms: 1_700_000_000_123 },
+            ReplOp::Del { key: k },
+        ] {
+            assert_eq!(ReplOp::from_command(op.with_command(parts)), Ok(op));
+        }
+        let err = |words: &[&[u8]]| ReplOp::from_command(parts(words)).unwrap_err();
+        assert!(err(&[b"SET", b"k", b"v", b"EX", b"5"]).contains("modifier"));
+        assert!(err(&[b"SET", b"k", b"v", b"PXAT", b"soon"]).contains("PXAT deadline"));
+        assert!(err(&[b"NOSUCH", b"k"]).contains("unexpected command"));
+        assert!(err(&[b"GET", b"k"]).contains("unexpected command"));
     }
 }

@@ -14,6 +14,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
+use crate::command::Cmd;
 use crate::repl::ReplOp;
 use crate::resp::{decode_command, decode_value, encode_command, Decode, Value};
 use crate::server::{Inner, Role};
@@ -246,16 +247,7 @@ fn session(inner: &Inner, master: &str) -> io::Result<()> {
     let loaded = records.len();
     // Deadlines load verbatim from the snapshot — a replica never
     // derives time (the primary's clock decided them once).
-    let ops: Vec<ReplOp> = records
-        .into_iter()
-        .map(|(key, value, expire_at_ms)| {
-            if expire_at_ms == 0 {
-                ReplOp::Set { key, value }
-            } else {
-                ReplOp::SetEx { key, value, expire_at_ms }
-            }
-        })
-        .collect();
+    let ops: Vec<ReplOp> = records.into_iter().map(|(k, v, at)| ReplOp::set(k, v, at)).collect();
     inner.engine.apply_ops(&ops).map_err(engine_err)?;
     drop(ops);
     inner.applied_offset.store(base_offset, Ordering::SeqCst);
@@ -271,77 +263,44 @@ fn session(inner: &Inner, master: &str) -> io::Result<()> {
     // the primary: its apply here is timed individually under the same
     // id so `TRACE GET <id>` works on either end.
     let mut pending_trace: Option<u64> = None;
+    let apply_batch = |ops: &mut Vec<ReplOp>| -> io::Result<()> {
+        if !ops.is_empty() {
+            inner.engine.apply_ops(ops).map_err(engine_err)?;
+            inner.applied_offset.fetch_add(ops.len() as u64, Ordering::SeqCst);
+            ops.clear();
+        }
+        Ok(())
+    };
     loop {
         if stopping(inner) {
             return Ok(());
         }
-        ops.clear();
         loop {
             match decode_command(&conn.rbuf[conn.pos..]) {
-                Ok(Decode::Complete(mut parts, used)) => {
+                Ok(Decode::Complete(parts, used)) => {
                     conn.pos += used;
-                    let name = parts[0].to_ascii_uppercase();
-                    match (name.as_slice(), parts.len()) {
-                        (b"SET", 3) => {
-                            let value = parts.pop().expect("len checked");
-                            let key = parts.pop().expect("len checked");
-                            queue_op(inner, &mut ops, &mut pending_trace, ReplOp::Set { key, value })?;
-                        }
-                        // TTL write: `SET key value PXAT <deadline-ms>` —
-                        // the absolute-deadline form is the only one the
-                        // stream carries (determinism: the primary is the
-                        // single clock).
-                        (b"SET", 5) => {
-                            let ms = parts.pop().expect("len checked");
-                            let px = parts.pop().expect("len checked");
-                            let value = parts.pop().expect("len checked");
-                            let key = parts.pop().expect("len checked");
-                            if !px.eq_ignore_ascii_case(b"PXAT") {
-                                return Err(bad_stream(format!(
-                                    "unexpected SET modifier {:?} in replication stream",
-                                    String::from_utf8_lossy(&px)
-                                )));
-                            }
-                            let expire_at_ms = std::str::from_utf8(&ms)
-                                .ok()
-                                .and_then(|s| s.parse::<u64>().ok())
-                                .ok_or_else(|| bad_stream("bad PXAT deadline in stream"))?;
-                            queue_op(
-                                inner,
-                                &mut ops,
-                                &mut pending_trace,
-                                ReplOp::SetEx { key, value, expire_at_ms },
-                            )?;
-                        }
-                        (b"DEL", 2) => {
-                            let key = parts.pop().expect("len checked");
-                            queue_op(inner, &mut ops, &mut pending_trace, ReplOp::Del { key })?;
-                        }
+                    match crate::command::resolve(&parts[0]).map(|c| c.cmd) {
                         // Liveness only; does not advance the offset.
-                        (b"PING", 1) => {}
+                        Some(Cmd::Ping) if parts.len() == 1 => {}
                         // Trace propagation: the next op was traced on
                         // the primary. Not an op — the offset does not
                         // advance. The pending batch is applied first so
                         // the traced op's timing stands alone.
-                        (b"TRACEID", 3) => {
-                            let id = std::str::from_utf8(&parts[1])
-                                .ok()
-                                .and_then(|s| s.parse::<u64>().ok())
+                        Some(Cmd::TraceId) if parts.len() == 3 => {
+                            let id = crate::resp::parse_arg(&parts[1])
                                 .ok_or_else(|| bad_stream("bad TRACEID id in stream"))?;
-                            if !ops.is_empty() {
-                                inner.engine.apply_ops(&ops).map_err(engine_err)?;
-                                inner
-                                    .applied_offset
-                                    .fetch_add(ops.len() as u64, Ordering::SeqCst);
-                                ops.clear();
-                            }
+                            apply_batch(&mut ops)?;
                             pending_trace = Some(id);
                         }
                         _ => {
-                            return Err(bad_stream(format!(
-                                "unexpected command {:?} in replication stream",
-                                String::from_utf8_lossy(&parts[0])
-                            )))
+                            let op = ReplOp::from_command(parts)
+                                .map_err(|e| bad_stream(format!("{e} in replication stream")))?;
+                            // Batched, unless a TRACEID marked it: then
+                            // it applies alone, timed, under that span id.
+                            match pending_trace.take() {
+                                Some(id) => apply_traced(inner, op, id)?,
+                                None => ops.push(op),
+                            }
                         }
                     }
                 }
@@ -350,28 +309,8 @@ fn session(inner: &Inner, master: &str) -> io::Result<()> {
             }
         }
         conn.compact();
-        if !ops.is_empty() {
-            inner.engine.apply_ops(&ops).map_err(engine_err)?;
-            inner.applied_offset.fetch_add(ops.len() as u64, Ordering::SeqCst);
-        }
+        apply_batch(&mut ops)?;
         conn.fill()?;
-    }
-}
-
-/// Queue an op for the batch apply — unless a `TRACEID` marked it, in
-/// which case it applies alone, timed, under the propagated span id.
-fn queue_op(
-    inner: &Inner,
-    ops: &mut Vec<ReplOp>,
-    pending_trace: &mut Option<u64>,
-    op: ReplOp,
-) -> io::Result<()> {
-    match pending_trace.take() {
-        Some(id) => apply_traced(inner, op, id),
-        None => {
-            ops.push(op);
-            Ok(())
-        }
     }
 }
 
@@ -381,12 +320,7 @@ fn queue_op(
 /// Queue-wait/parse/reply-flush are zero by construction — a replica
 /// apply has no client-visible ingress or egress.
 fn apply_traced(inner: &Inner, op: ReplOp, trace_id: u64) -> io::Result<()> {
-    use crate::trace::{self, Stage};
-    let (cmd, key) = match &op {
-        ReplOp::Set { key, .. } | ReplOp::SetEx { key, .. } => ("SET", key),
-        ReplOp::Del { key } => ("DEL", key),
-    };
-    let key = String::from_utf8_lossy(&key[..key.len().min(32)]).into_owned();
+    use crate::trace::{self, Reason, Stage, TraceRecord, REPL_WORKER};
     trace::begin_span(trace_id);
     let start = std::time::Instant::now();
     let res = inner.engine.apply_ops(std::slice::from_ref(&op));
@@ -397,18 +331,9 @@ fn apply_traced(inner: &Inner, op: ReplOp, trace_id: u64) -> io::Result<()> {
     stages_ns[Stage::LockWait.index()] = d.lock_wait_ns;
     stages_ns[Stage::Execute.index()] = d.execute_ns;
     stages_ns[Stage::Persist.index()] = d.persist_ns;
-    inner.tracer.record(trace::TraceRecord {
-        id: trace_id,
-        origin: trace_id,
-        hops: 0,
-        unix_ms: trace::unix_ms(),
-        cmd: cmd.into(),
-        key,
-        worker: trace::REPL_WORKER,
-        total_ns,
-        reason: trace::Reason::Repl,
-        stages_ns,
-    });
+    inner.tracer.record(op.with_command(|parts| {
+        TraceRecord::new(trace_id, 0, parts, REPL_WORKER, stages_ns, total_ns, Reason::Repl)
+    }));
     res.map_err(engine_err)?;
     inner.applied_offset.fetch_add(1, Ordering::SeqCst);
     Ok(())

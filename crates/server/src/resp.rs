@@ -117,6 +117,11 @@ pub fn encode(v: &Value, out: &mut Vec<u8>) {
     }
 }
 
+/// Parse a decimal argument (a count, a cursor, a deadline).
+pub(crate) fn parse_arg<T: std::str::FromStr>(arg: &[u8]) -> Option<T> {
+    std::str::from_utf8(arg).ok()?.parse().ok()
+}
+
 /// Encode a command (array of bulk strings) — what clients send.
 pub fn encode_command(parts: &[&[u8]], out: &mut Vec<u8>) {
     out.push(b'*');

@@ -1,9 +1,7 @@
-//! The networked service: an **event-driven** TCP server speaking the
-//! RESP2 subset `GET` / `SET` (with `EX`/`PX`/`EXAT`/`PXAT`) / `MGET` /
-//! `MSET` / `DEL` / `UNLINK` / `EXISTS` / `EXPIRE` / `PEXPIRE` / `TTL`
-//! / `PTTL` / `PERSIST` / `SCAN` / `KEYS` / `SNAPSHOT` / `PING` /
-//! `INFO` / `DBSIZE` (plus `SHUTDOWN` for orderly teardown) over a
-//! [`ShardedDash`] engine.
+//! The networked service: an **event-driven** TCP server speaking a
+//! RESP2 subset over a [`ShardedDash`] engine. The commands are the rows
+//! of the command table (`command.rs`); [`execute`] dispatches on the
+//! row the connection resolved.
 //!
 //! `SCAN cursor [COUNT n]` pages through the keyspace with the Redis
 //! cursor contract (every key present for the whole scan is returned at
@@ -46,11 +44,11 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
+use crate::command::{Cmd, Command};
 use crate::engine::ShardedDash;
 use crate::metrics::{CmdFamily, Metrics, DEFAULT_SLOWLOG_THRESHOLD_US};
 use crate::net::EventFd;
-use crate::repl::ReplOp;
-use crate::resp::{encode, encode_command, Value};
+use crate::resp::{encode, encode_command, parse_arg, Value};
 
 /// How long a blocking reply write (SHUTDOWN ack, replication stream)
 /// may stall before the connection is dropped.
@@ -410,14 +408,6 @@ pub(crate) struct Session {
     pub(crate) trace_force: Option<(u64, u32)>,
 }
 
-/// Does this command mutate engine state? The replica write gate — keep
-/// in lockstep with the dispatch arms in [`execute`]: every command that
-/// reaches a mutating engine call MUST be listed here, or clients could
-/// write to a replica and silently diverge it from its primary.
-fn writes_engine_state(name: &str) -> bool {
-    matches!(name, "SET" | "MSET" | "DEL" | "UNLINK" | "EXPIRE" | "PEXPIRE" | "PERSIST")
-}
-
 fn err(msg: impl Into<String>) -> Outcome {
     Outcome::Reply(Value::Error(format!("ERR {}", msg.into())))
 }
@@ -433,24 +423,32 @@ fn engine_err(e: crate::engine::EngineError) -> Outcome {
 }
 
 fn parse_int(b: &[u8]) -> Option<i64> {
-    std::str::from_utf8(b).ok().and_then(|s| s.parse::<i64>().ok())
+    parse_arg(b)
 }
 
-fn wrong_args(cmd: &str) -> Outcome {
-    err(format!("wrong number of arguments for '{cmd}' command"))
+fn wrong_args(cmd: &Command) -> Outcome {
+    err(format!("wrong number of arguments for '{}' command", cmd.name.to_ascii_lowercase()))
 }
 
-/// Execute one decoded command against the engine.
-pub(crate) fn execute(parts: &[Vec<u8>], inner: &Inner, session: &mut Session) -> Outcome {
+/// Execute one decoded command against the engine. `cmd` is the
+/// command-table row `parts[0]` resolved to (`None`: no such command).
+pub(crate) fn execute(
+    cmd: Option<&'static Command>,
+    parts: &[Vec<u8>],
+    inner: &Inner,
+    session: &mut Session,
+) -> Outcome {
     let engine = &inner.engine;
-    let name = String::from_utf8_lossy(&parts[0]).to_ascii_uppercase();
     let args = &parts[1..];
     // ASKING is one-shot: it covers exactly the next command.
     let asking = std::mem::take(&mut session.asking);
+    let Some(cmd) = cmd else {
+        return err(format!("unknown command '{}'", String::from_utf8_lossy(&parts[0])));
+    };
     // A replica owns no writes: its state is the primary's stream (the
     // sync thread applies that through the engine directly, not through
     // commands). Client writes bounce with the Redis error class.
-    if writes_engine_state(&name) && inner.role() == Role::Replica {
+    if cmd.writes && inner.role() == Role::Replica {
         return Outcome::Reply(Value::Error(
             "READONLY You can't write against a read only replica.".into(),
         ));
@@ -461,53 +459,32 @@ pub(crate) fn execute(parts: &[Vec<u8>], inner: &Inner, session: &mut Session) -
     // in-flight against a migrating slot until it finishes executing —
     // the migration flip's fence waits on those.
     let mut _migrating_guard = None;
-    if let Some(cl) = &inner.cluster {
-        match name.as_str() {
-            "ASKING" => {
-                session.asking = true;
-                return Outcome::Reply(Value::Simple("OK".into()));
-            }
-            "CLUSTER" => {
-                return Outcome::Reply(crate::cluster::cluster_command(cl, inner, args));
-            }
-            _ => {
-                if let Some(keys) = crate::cluster::keyed_args(&name, args) {
-                    match cl.check(&keys, asking) {
-                        Ok(guard) => _migrating_guard = guard,
-                        Err(reply) => return Outcome::Reply(reply),
-                    }
-                }
-            }
+    if let (Some(cl), Some(keys)) = (&inner.cluster, cmd.keys_of(args)) {
+        match cl.check(&keys, asking) {
+            Ok(guard) => _migrating_guard = guard,
+            Err(reply) => return Outcome::Reply(reply),
         }
     }
-    match name.as_str() {
-        "PING" => match args {
-            [] => Outcome::Reply(Value::Simple("PONG".into())),
-            [msg] => Outcome::Reply(Value::bulk(msg.clone())),
-            _ => wrong_args("ping"),
+    // Arity is a column of the row; past this check every handler may
+    // index the arguments its row guarantees.
+    if !cmd.args.contains(&args.len()) {
+        return wrong_args(cmd);
+    }
+    match cmd.cmd {
+        Cmd::Ping => match args.first() {
+            None => Outcome::Reply(Value::Simple("PONG".into())),
+            Some(msg) => Outcome::Reply(Value::bulk(msg.clone())),
         },
-        "GET" => match args {
-            [key] => match engine.get(key) {
-                Ok(Some(v)) => Outcome::Reply(Value::Bulk(v)),
-                Ok(None) => Outcome::Reply(Value::Nil),
-                Err(e) => err(e.to_string()),
-            },
-            _ => wrong_args("get"),
-        },
+        Cmd::Get => reply(engine.get(&args[0]), |v| v.map_or(Value::Nil, Value::Bulk)),
         // `SET key value [EX s | PX ms | EXAT s | PXAT ms]`. The
         // relative forms resolve to an absolute Unix-ms deadline *here*,
         // on the primary — everything downstream (redo log, replica
         // stream, snapshots, migration) carries the absolute deadline
         // and never re-derives time. Plain SET clears any existing TTL.
-        "SET" => {
-            let (key, value, ttl) = match args {
-                [key, value] => (key, value, None),
-                [key, value, unit, n] => (key, value, Some((unit, n))),
-                _ => return wrong_args("set"),
-            };
-            let expire_at_ms = match ttl {
-                None => 0,
-                Some((unit, n)) => {
+        Cmd::Set => {
+            let expire_at_ms = match args {
+                [_, _] => 0,
+                [_, _, unit, n] => {
                     let Some(n) = parse_int(n).filter(|n| *n >= 1) else {
                         return err("invalid expire time in 'set' command");
                     };
@@ -525,224 +502,130 @@ pub(crate) fn execute(parts: &[Vec<u8>], inner: &Inner, session: &mut Session) -
                         return err("syntax error");
                     }
                 }
+                _ => return wrong_args(cmd),
             };
-            match engine.set_with_expiry(key, value, expire_at_ms) {
-                Ok(()) => Outcome::Reply(Value::Simple("OK".into())),
-                Err(e) => engine_err(e),
-            }
+            let (key, value) = (&args[0], &args[1]);
+            reply(engine.set_with_expiry(key, value, expire_at_ms), |()| Value::Simple("OK".into()))
         }
-        "MGET" => {
-            if args.is_empty() {
-                return wrong_args("mget");
-            }
-            let keys: Vec<&[u8]> = args.iter().map(|a| a.as_slice()).collect();
-            match engine.mget(&keys) {
-                Ok(values) => Outcome::Reply(Value::Array(
-                    values
-                        .into_iter()
-                        .map(|v| v.map_or(Value::Nil, Value::Bulk))
-                        .collect(),
-                )),
-                Err(e) => err(e.to_string()),
-            }
-        }
-        "MSET" => {
-            if args.is_empty() || !args.len().is_multiple_of(2) {
-                return wrong_args("mset");
-            }
+        Cmd::Mget => reply(engine.mget(&slices(args)), |values| {
+            Value::Array(values.into_iter().map(|v| v.map_or(Value::Nil, Value::Bulk)).collect())
+        }),
+        Cmd::Mset if !args.len().is_multiple_of(2) => wrong_args(cmd),
+        Cmd::Mset => {
             let pairs: Vec<(&[u8], &[u8])> =
                 args.chunks_exact(2).map(|c| (c[0].as_slice(), c[1].as_slice())).collect();
-            match engine.mset(&pairs) {
-                Ok(()) => Outcome::Reply(Value::Simple("OK".into())),
-                Err(e) => engine_err(e),
-            }
+            reply(engine.mset(&pairs), |()| Value::Simple("OK".into()))
         }
-        "DEL" => match args {
-            [] => wrong_args("del"),
-            // Single key (the common case): skip the batch path's
-            // grouping allocations.
-            [key] => match engine.del(key) {
-                Ok(removed) => Outcome::Reply(Value::Integer(i64::from(removed))),
-                Err(e) => err(e.to_string()),
-            },
-            _ => {
-                let keys: Vec<&[u8]> = args.iter().map(|a| a.as_slice()).collect();
-                match engine.mdel(&keys) {
-                    Ok(removed) => Outcome::Reply(Value::Integer(removed as i64)),
-                    Err(e) => err(e.to_string()),
-                }
-            }
-        },
+        // Single key (the common case): skip the batch path's grouping
+        // allocations.
+        Cmd::Del if args.len() == 1 => reply(engine.del(&args[0]), |n| Value::Integer(n.into())),
+        Cmd::Exists if args.len() == 1 => {
+            reply(engine.exists(&args[0]), |n| Value::Integer(n.into()))
+        }
         // UNLINK: DEL's contract through the batch path unconditionally
         // — one write-lock acquisition per shard for the whole key set.
         // (Frees are epoch-deferred here as everywhere, so the "async
         // reclaim" half of Redis UNLINK is the engine's normal mode.)
-        "UNLINK" => match args {
-            [] => wrong_args("unlink"),
-            _ => {
-                let keys: Vec<&[u8]> = args.iter().map(|a| a.as_slice()).collect();
-                match engine.mdel(&keys) {
-                    Ok(removed) => Outcome::Reply(Value::Integer(removed as i64)),
-                    Err(e) => err(e.to_string()),
-                }
-            }
-        },
+        Cmd::Del | Cmd::Unlink => reply(engine.mdel(&slices(args)), |n| Value::Integer(n as i64)),
+        Cmd::Exists => reply(engine.mexists(&slices(args)), |n| Value::Integer(n as i64)),
         // `EXPIRE key s` / `PEXPIRE key ms`: resolved to an absolute
         // deadline here on the primary (the one clock); a non-positive
         // TTL deletes the key now, exactly like Redis.
-        "EXPIRE" | "PEXPIRE" => match args {
-            [key, n] => {
-                let Some(n) = parse_int(n) else {
-                    return err("value is not an integer or out of range");
-                };
-                let now = crate::expire::now_ms();
-                let deadline = if n <= 0 {
-                    now // already due: expire_at deletes outright
-                } else if name == "EXPIRE" {
-                    now.saturating_add((n as u64).saturating_mul(1000))
-                } else {
-                    now.saturating_add(n as u64)
-                };
-                match engine.expire_at(key, deadline) {
-                    Ok(set) => Outcome::Reply(Value::Integer(i64::from(set))),
-                    Err(e) => engine_err(e),
-                }
-            }
-            _ => wrong_args(if name == "EXPIRE" { "expire" } else { "pexpire" }),
-        },
-        "TTL" | "PTTL" => match args {
-            [key] => match engine.ttl_ms(key) {
-                // TTL rounds the remaining time *up*: a key with 1 ms
-                // left reports 1 s, never the "no expiry" -0.
-                Ok(ms) if ms >= 0 && name == "TTL" => {
-                    Outcome::Reply(Value::Integer((ms + 999) / 1000))
-                }
-                Ok(ms) => Outcome::Reply(Value::Integer(ms)),
-                Err(e) => err(e.to_string()),
-            },
-            _ => wrong_args(if name == "TTL" { "ttl" } else { "pttl" }),
-        },
-        "PERSIST" => match args {
-            [key] => match engine.persist(key) {
-                Ok(cleared) => Outcome::Reply(Value::Integer(i64::from(cleared))),
-                Err(e) => engine_err(e),
-            },
-            _ => wrong_args("persist"),
-        },
-        "EXISTS" => match args {
-            [] => wrong_args("exists"),
-            [key] => match engine.exists(key) {
-                Ok(present) => Outcome::Reply(Value::Integer(i64::from(present))),
-                Err(e) => err(e.to_string()),
-            },
-            _ => {
-                let keys: Vec<&[u8]> = args.iter().map(|a| a.as_slice()).collect();
-                match engine.mexists(&keys) {
-                    Ok(present) => Outcome::Reply(Value::Integer(present as i64)),
-                    Err(e) => err(e.to_string()),
-                }
-            }
-        },
-        "SCAN" => {
-            let (cursor, count) = match args {
-                [cur] => (cur, DEFAULT_SCAN_COUNT),
-                [cur, word, n] if word.eq_ignore_ascii_case(b"COUNT") => {
-                    match std::str::from_utf8(n).ok().and_then(|s| s.parse::<usize>().ok()) {
-                        Some(n) if n >= 1 => (cur, n.min(MAX_SCAN_COUNT)),
+        Cmd::Expire | Cmd::Pexpire => {
+            let Some(n) = parse_int(&args[1]) else {
+                return err("value is not an integer or out of range");
+            };
+            let now = crate::expire::now_ms();
+            let deadline = if n <= 0 {
+                now // already due: expire_at deletes outright
+            } else if cmd.cmd == Cmd::Expire {
+                now.saturating_add((n as u64).saturating_mul(1000))
+            } else {
+                now.saturating_add(n as u64)
+            };
+            reply(engine.expire_at(&args[0], deadline), |set| Value::Integer(set.into()))
+        }
+        // TTL rounds the remaining time *up*: a key with 1 ms left
+        // reports 1 s, never the "no expiry" -0.
+        Cmd::Ttl | Cmd::Pttl => reply(engine.ttl_ms(&args[0]), |ms| {
+            Value::Integer(if ms >= 0 && cmd.cmd == Cmd::Ttl { (ms + 999) / 1000 } else { ms })
+        }),
+        Cmd::Persist => reply(engine.persist(&args[0]), |cleared| Value::Integer(cleared.into())),
+        Cmd::Scan => {
+            let count = match args {
+                [_] => DEFAULT_SCAN_COUNT,
+                [_, word, n] if word.eq_ignore_ascii_case(b"COUNT") => {
+                    match parse_arg::<usize>(n) {
+                        Some(n) if n >= 1 => n.min(MAX_SCAN_COUNT),
                         _ => return err("COUNT must be a positive integer"),
                     }
                 }
-                _ => return wrong_args("scan"),
+                _ => return wrong_args(cmd),
             };
-            let Some(cursor) =
-                std::str::from_utf8(cursor).ok().and_then(|s| s.parse::<u64>().ok())
-            else {
+            let Some(cursor) = parse_arg::<u64>(&args[0]) else {
                 return err("invalid cursor");
             };
-            match engine.scan_keys(cursor, count) {
-                Ok((next, keys)) => Outcome::Reply(Value::Array(vec![
+            reply(engine.scan_keys(cursor, count), |(next, keys)| {
+                Value::Array(vec![
                     Value::Bulk(next.to_string().into_bytes()),
                     Value::Array(keys.into_iter().map(Value::Bulk).collect()),
-                ])),
-                Err(e) => err(e.to_string()),
-            }
+                ])
+            })
         }
         // Test-only: enumerates the whole store in one reply. Only the
         // match-everything pattern is supported; use SCAN in production.
-        "KEYS" => match args {
-            [pat] if pat.as_slice() == b"*" => match engine.keys() {
-                Ok(keys) => {
-                    Outcome::Reply(Value::Array(keys.into_iter().map(Value::Bulk).collect()))
-                }
-                Err(e) => err(e.to_string()),
-            },
-            [_] => err("only the '*' pattern is supported"),
-            _ => wrong_args("keys"),
+        Cmd::Keys if args[0] != b"*" => err("only the '*' pattern is supported"),
+        Cmd::Keys => {
+            reply(engine.keys(), |keys| Value::Array(keys.into_iter().map(Value::Bulk).collect()))
+        }
+        Cmd::Snapshot => match std::str::from_utf8(&args[0]) {
+            Ok(path) => reply(engine.snapshot_to(std::path::Path::new(path)), |count| {
+                Value::Integer(count as i64)
+            }),
+            Err(_) => err("snapshot path must be valid UTF-8"),
         },
-        "SNAPSHOT" => match args {
-            [path] => match std::str::from_utf8(path) {
-                Ok(path) => match engine.snapshot_to(std::path::Path::new(path)) {
-                    Ok(count) => Outcome::Reply(Value::Integer(count as i64)),
-                    Err(e) => err(e.to_string()),
-                },
-                Err(_) => err("snapshot path must be valid UTF-8"),
-            },
-            _ => wrong_args("snapshot"),
-        },
-        "DBSIZE" => match args {
-            [] => {
-                // Collapse due timers first so the count never includes
-                // an expired-but-unreclaimed key. Only a primary may do
-                // this (it publishes the DELs); a replica's count
-                // converges through the primary's stream.
-                if inner.role() == Role::Primary {
-                    engine.expire_now();
-                }
-                Outcome::Reply(Value::Integer(engine.len() as i64))
+        Cmd::Dbsize => {
+            // Collapse due timers first so the count never includes an
+            // expired-but-unreclaimed key. Only a primary may do this
+            // (it publishes the DELs); a replica's count converges
+            // through the primary's stream.
+            if inner.role() == Role::Primary {
+                engine.expire_now();
             }
-            _ => wrong_args("dbsize"),
-        },
+            Outcome::Reply(Value::Integer(engine.len() as i64))
+        }
         // Every INFO form is O(shards) except `INFO keyspace`, which
         // pays an O(total keys) ground-truth scan — deliberately opt-in
         // so monitoring polls never scale with the data they watch.
-        "INFO" => match args {
-            [] => Outcome::Reply(Value::Bulk(info_text(inner).into_bytes())),
-            [section] if section.eq_ignore_ascii_case(b"replication") => {
-                Outcome::Reply(Value::Bulk(replication_info_text(inner).into_bytes()))
-            }
-            [section] if section.eq_ignore_ascii_case(b"stats") => {
-                Outcome::Reply(Value::Bulk(stats_info_text(inner).into_bytes()))
-            }
-            [section] if section.eq_ignore_ascii_case(b"latency") => {
-                Outcome::Reply(Value::Bulk(latency_info_text(inner).into_bytes()))
-            }
-            [section] if section.eq_ignore_ascii_case(b"keyspace") => {
-                Outcome::Reply(Value::Bulk(keyspace_info_text(inner).into_bytes()))
-            }
-            [section] if section.eq_ignore_ascii_case(b"memory") => {
-                Outcome::Reply(Value::Bulk(memory_info_text(inner).into_bytes()))
-            }
-            [_] => err(
-                "unknown INFO section ('replication', 'stats', 'latency', 'memory' and 'keyspace' are supported)",
-            ),
-            _ => wrong_args("info"),
-        },
+        Cmd::Info => {
+            let text: fn(&Inner) -> String = match args {
+                [] => info_text,
+                [s] if s.eq_ignore_ascii_case(b"replication") => replication_info_text,
+                [s] if s.eq_ignore_ascii_case(b"stats") => stats_info_text,
+                [s] if s.eq_ignore_ascii_case(b"latency") => latency_info_text,
+                [s] if s.eq_ignore_ascii_case(b"keyspace") => keyspace_info_text,
+                [s] if s.eq_ignore_ascii_case(b"memory") => memory_info_text,
+                _ => return err(
+                    "unknown INFO section ('replication', 'stats', 'latency', 'memory' and 'keyspace' are supported)",
+                ),
+            };
+            Outcome::Reply(Value::Bulk(text(inner).into_bytes()))
+        }
         // The slow-command ring: `SLOWLOG GET [n]` (newest first),
         // `SLOWLOG LEN`, `SLOWLOG RESET`. Entries are arrays shaped like
         // Redis's: id, unix time, duration µs, [command, key prefix],
         // plus the serving worker id.
-        "SLOWLOG" => match args {
+        Cmd::Slowlog => match args {
             [sub] if sub.eq_ignore_ascii_case(b"LEN") => {
                 Outcome::Reply(Value::Integer(inner.metrics.slowlog.len() as i64))
             }
             [sub] if sub.eq_ignore_ascii_case(b"RESET") => {
                 inner.metrics.slowlog.reset();
-                Outcome::Reply(Value::Simple("OK".into()))
+                ok()
             }
             [sub] | [sub, _] if sub.eq_ignore_ascii_case(b"GET") => {
                 let n = match args {
-                    [_, n] => match std::str::from_utf8(n).ok().and_then(|s| s.parse::<i64>().ok())
-                    {
+                    [_, n] => match parse_int(n) {
                         Some(-1) => usize::MAX,
                         Some(n) if n >= 0 => n as usize,
                         _ => return err("SLOWLOG GET count must be an integer >= -1"),
@@ -784,61 +667,78 @@ pub(crate) fn execute(parts: &[Vec<u8>], inner: &Inner, session: &mut Session) -
         // `TRACE OFF` gate the sampler; DUMP/GET read the flight
         // recorder; THRESHOLD tunes always-on slow capture; STATUS
         // reports the knobs; RESET clears the rings.
-        "TRACE" => trace_command(inner, args),
+        Cmd::Trace => trace_command(inner, args),
         // One-shot trace propagation: capture the NEXT command under
         // this identity. `TRACEID 0 0` asks the server to assign a
         // fresh id (the reply), which is how a client starts a trace it
         // can later look up; nonzero ids arrive from cluster clients
         // re-sending after a redirect and from the PSYNC tail.
-        "TRACEID" => match args {
-            [id, hops] => {
-                let (Some(id), Some(hops)) = (parse_int(id), parse_int(hops)) else {
-                    return err("TRACEID arguments must be integers");
-                };
-                if id < 0 || hops < 0 {
-                    return err("TRACEID arguments must be non-negative");
-                }
-                let id = if id == 0 { inner.tracer.alloc_id() } else { id as u64 };
-                session.trace_force = Some((id, hops as u32));
-                Outcome::Reply(Value::Integer(id as i64))
+        Cmd::TraceId => {
+            let (Some(id), Some(hops)) = (parse_int(&args[0]), parse_int(&args[1])) else {
+                return err("TRACEID arguments must be integers");
+            };
+            if id < 0 || hops < 0 {
+                return err("TRACEID arguments must be non-negative");
             }
-            _ => wrong_args("traceid"),
-        },
+            let id = if id == 0 { inner.tracer.alloc_id() } else { id as u64 };
+            session.trace_force = Some((id, hops as u32));
+            Outcome::Reply(Value::Integer(id as i64))
+        }
         // Replication handshake: REPLCONF carries replica metadata
         // (accepted and ignored — `listening-port` etc. are advisory);
         // PSYNC turns the connection into a replication stream.
-        "REPLCONF" => Outcome::Reply(Value::Simple("OK".into())),
-        "PSYNC" => {
+        Cmd::Replconf => ok(),
+        Cmd::Psync => {
             if inner.role() == Role::Replica {
                 err("PSYNC on a replica (chained replication) is not supported")
             } else {
                 Outcome::StartReplication
             }
         }
-        "REPLICAOF" => match args {
-            [host, port]
-                if host.eq_ignore_ascii_case(b"NO") && port.eq_ignore_ascii_case(b"ONE") =>
-            {
-                // Promote: stop and join the sync loop, then accept
-                // writes. +OK is sent only once the fence is complete.
-                inner.promote();
-                Outcome::Reply(Value::Simple("OK".into()))
-            }
-            [_, _] => err("attaching to a primary at runtime is not supported; start with --replica-of"),
-            _ => wrong_args("replicaof"),
-        },
+        Cmd::ReplicaOf
+            if args[0].eq_ignore_ascii_case(b"NO") && args[1].eq_ignore_ascii_case(b"ONE") =>
+        {
+            // Promote: stop and join the sync loop, then accept writes.
+            // +OK is sent only once the fence is complete.
+            inner.promote();
+            ok()
+        }
+        Cmd::ReplicaOf => {
+            err("attaching to a primary at runtime is not supported; start with --replica-of")
+        }
         // Cluster commands exist (as errors) outside cluster mode too,
         // so misdirected clients get a clear diagnosis instead of
         // "unknown command".
-        "CLUSTER" | "ASKING" => err("this server was not started in cluster mode"),
-        "SHUTDOWN" => Outcome::Shutdown,
+        Cmd::Cluster | Cmd::Asking => match &inner.cluster {
+            None => err("this server was not started in cluster mode"),
+            Some(cl) if cmd.cmd == Cmd::Cluster => {
+                Outcome::Reply(crate::cluster::cluster_command(cl, inner, args))
+            }
+            Some(_) => {
+                session.asking = true;
+                ok()
+            }
+        },
+        Cmd::Shutdown => Outcome::Shutdown,
         // Test-only: panics inside the command handler, to prove a
         // connection panic is caught, counted, and costs only that
         // connection (not the worker or its other connections).
         #[cfg(test)]
-        "PANICTEST" => panic!("PANICTEST: injected command-handler panic"),
-        _ => err(format!("unknown command '{}'", String::from_utf8_lossy(&parts[0]))),
+        Cmd::PanicTest => panic!("PANICTEST: injected command-handler panic"),
     }
+}
+
+fn ok() -> Outcome {
+    Outcome::Reply(Value::Simple("OK".into()))
+}
+
+/// Reply with `f` of an engine result's value, or the engine error.
+fn reply<T>(r: crate::engine::EngineResult<T>, f: impl FnOnce(T) -> Value) -> Outcome {
+    r.map_or_else(engine_err, |v| Outcome::Reply(f(v)))
+}
+
+fn slices(args: &[Vec<u8>]) -> Vec<&[u8]> {
+    args.iter().map(Vec::as_slice).collect()
 }
 
 /// Dispatch the `TRACE` subcommands against [`Inner::tracer`].
@@ -1012,22 +912,7 @@ fn encode_traced_op(top: &crate::repl::hub::TracedOp, out: &mut Vec<u8>) {
     if top.trace_id != 0 {
         encode_command(&[b"TRACEID", top.trace_id.to_string().as_bytes(), b"0"], out);
     }
-    encode_op(&top.op, out);
-}
-
-/// The wire form of one replicated op: exactly the client command that
-/// would have produced it, so the replica applies the stream with the
-/// same decoder the server uses for clients.
-fn encode_op(op: &ReplOp, out: &mut Vec<u8>) {
-    match op {
-        ReplOp::Set { key, value } => encode_command(&[b"SET", key, value], out),
-        // Always the absolute-deadline spelling: the replica applies the
-        // primary's clock, never its own.
-        ReplOp::SetEx { key, value, expire_at_ms } => {
-            encode_command(&[b"SET", key, value, b"PXAT", expire_at_ms.to_string().as_bytes()], out)
-        }
-        ReplOp::Del { key } => encode_command(&[b"DEL", key], out),
-    }
+    top.op.with_command(|parts| encode_command(parts, out));
 }
 
 /// The default INFO payload: the server section, replication, stats,
@@ -1110,10 +995,7 @@ fn stats_info_text(inner: &Inner) -> String {
 fn latency_info_text(inner: &Inner) -> String {
     let mut out = String::new();
     out.push_str("# latency\r\n");
-    let mut all = crate::metrics::HistSnapshot::default();
-    for fam in CmdFamily::ALL {
-        let snap = inner.metrics.cmd_snapshot(fam);
-        let name = fam.name();
+    let mut row = |name: &str, snap: &crate::metrics::HistSnapshot| {
         out.push_str(&format!("cmd_{name}_count:{}\r\n", snap.count()));
         if snap.count() > 0 {
             for (label, q) in [("p50", 0.5), ("p99", 0.99), ("p999", 0.999)] {
@@ -1122,17 +1004,15 @@ fn latency_info_text(inner: &Inner) -> String {
                 }
             }
         }
+    };
+    let mut all = crate::metrics::HistSnapshot::default();
+    for fam in CmdFamily::ALL {
+        let snap = inner.metrics.cmd_snapshot(fam);
+        row(fam.name(), &snap);
         all.merge(&snap);
     }
     // The merged row: one latency profile over every executed command.
-    out.push_str(&format!("cmd_all_count:{}\r\n", all.count()));
-    if all.count() > 0 {
-        for (label, q) in [("p50", 0.5), ("p99", 0.99), ("p999", 0.999)] {
-            if let Some(ns) = all.quantile_ns(q) {
-                out.push_str(&format!("cmd_all_{label}_us:{}\r\n", ns.div_ceil(1_000)));
-            }
-        }
-    }
+    row("all", &all);
     out
 }
 

@@ -18,8 +18,8 @@
 //!
 //! `expire_at_ms` is the record's **absolute** expiry deadline in Unix
 //! milliseconds (0 = none) — deadlines survive snapshot/restore verbatim
-//! and are never re-derived from a clock. Version-1 streams (no expiry
-//! field) still parse; their records load with no expiry.
+//! and are never re-derived from a clock. Only version 2 is read:
+//! version 1 (no expiry field) is rejected as unsupported.
 //!
 //! [`SnapshotStream`] writes that layout to any `Write` sink — a `Vec`
 //! for the replication bootstrap payload, a buffered temp file for disk
@@ -51,8 +51,6 @@ use crate::repl::wire::{FileHeader, Fnv, Parser};
 pub const SNAP_MAGIC: u64 = u64::from_le_bytes(*b"DASHSNP1");
 /// Current format version: v2 added the per-record expiry deadline.
 pub const SNAP_VERSION: u32 = 2;
-/// Oldest version the readers still accept.
-const SNAP_VERSION_MIN: u32 = 1;
 /// `key_len` sentinel terminating the record stream.
 const END_MARK: u32 = u32::MAX;
 
@@ -211,7 +209,7 @@ pub fn parse_all(buf: &[u8]) -> SnapshotResult<Vec<SnapshotEntry>> {
         return Err(corrupt("bad magic: not a dash snapshot file"));
     }
     let version = p.u32("version").map_err(corrupt)?;
-    if !(SNAP_VERSION_MIN..=SNAP_VERSION).contains(&version) {
+    if version != SNAP_VERSION {
         return Err(corrupt(format!("unsupported snapshot version {version}")));
     }
     let _shards = p.u32("meta").map_err(corrupt)?;
@@ -222,9 +220,7 @@ pub fn parse_all(buf: &[u8]) -> SnapshotResult<Vec<SnapshotEntry>> {
             break;
         }
         let vlen = p.u32("value length").map_err(corrupt)?;
-        // v1 records carried no deadline: everything loads as "no expiry".
-        let expire_at_ms =
-            if version >= 2 { p.u64("expiry deadline").map_err(corrupt)? } else { 0 };
+        let expire_at_ms = p.u64("expiry deadline").map_err(corrupt)?;
         if klen as usize > MAX_KEY_LEN {
             return Err(corrupt(format!("key length {klen} exceeds limit")));
         }
@@ -323,9 +319,9 @@ mod tests {
     }
 
     #[test]
-    fn v1_streams_still_parse_with_no_expiry() {
-        // Hand-build a version-1 stream: records without the deadline
-        // field. Old backups must keep restoring.
+    fn v1_streams_are_rejected() {
+        // Hand-build a well-formed version-1 stream: records without the
+        // deadline field. Nothing writes v1 any more.
         let mut buf = Vec::new();
         let mut fnv = Fnv::new();
         let mut put = |bytes: &[u8], buf: &mut Vec<u8>| {
@@ -344,9 +340,8 @@ mod tests {
         put(&5u64.to_le_bytes(), &mut buf);
         let checksum = fnv.value();
         buf.extend_from_slice(&checksum.to_le_bytes());
-        let records = parse_all(&buf).unwrap();
-        assert_eq!(records.len(), 5);
-        assert!(records.iter().all(|(_, _, e)| *e == 0), "v1 records load with no expiry");
+        let e = parse_all(&buf).unwrap_err().to_string();
+        assert!(e.contains("unsupported snapshot version 1"), "{e}");
     }
 
     #[test]

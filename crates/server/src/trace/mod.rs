@@ -62,8 +62,20 @@ pub const DEFAULT_SAMPLE: u64 = 64;
 pub const DEFAULT_THRESHOLD_US: u64 = 10_000;
 /// Worker id recorded for spans captured on the replica sync thread.
 pub const REPL_WORKER: u64 = u64::MAX;
-/// Bytes of key kept in a span (same truncation as the SLOWLOG).
+/// Bytes of key kept in a span or SLOWLOG entry (enough to identify a
+/// key family without copying a whole 1 MB key).
 const KEY_PREFIX_LEN: usize = 32;
+
+/// How spans and SLOWLOG entries show a request: the command name
+/// uppercased and a bounded prefix of its first key.
+pub(crate) fn describe<P: AsRef<[u8]>>(parts: &[P]) -> (String, String) {
+    let field = |i: usize, len: usize| {
+        parts.get(i).map_or_else(String::new, |p| {
+            String::from_utf8_lossy(&p.as_ref()[..p.as_ref().len().min(len)]).into_owned()
+        })
+    };
+    (field(0, usize::MAX).to_ascii_uppercase(), field(1, KEY_PREFIX_LEN))
+}
 
 /// The seven stages of a request's timeline, in wall-clock order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -167,20 +179,13 @@ impl TraceRecord {
     pub fn new(
         id: u64,
         hops: u32,
-        parts: &[Vec<u8>],
+        parts: &[impl AsRef<[u8]>],
         worker: u64,
         stages_ns: [u64; Stage::COUNT],
         total_ns: u64,
         reason: Reason,
     ) -> TraceRecord {
-        let cmd = parts
-            .first()
-            .map(|c| String::from_utf8_lossy(c).to_ascii_uppercase())
-            .unwrap_or_default();
-        let key = parts
-            .get(1)
-            .map(|k| String::from_utf8_lossy(&k[..k.len().min(KEY_PREFIX_LEN)]).into_owned())
-            .unwrap_or_default();
+        let (cmd, key) = describe(parts);
         TraceRecord {
             id,
             origin: id,

@@ -133,9 +133,24 @@ fn clusterdown_moved_and_crossslot_gate() {
     let mut salt = 0u64;
     let kb = key_in_range(8192, 16383, &mut salt);
     let slot = key_slot(&kb);
-    match ca.command(&[b"SET", &kb, b"v"]).unwrap() {
-        Value::Error(e) => assert_eq!(e, format!("MOVED {slot} {b_addr}")),
-        other => panic!("expected MOVED, got {other:?}"),
+    for cmd in [
+        &[b"SET" as &[u8], &kb, b"v"] as &[&[u8]],
+        &[b"GET", &kb],
+        &[b"MGET", &kb],
+        &[b"MSET", &kb, b"v"],
+        &[b"DEL", &kb],
+        &[b"UNLINK", &kb],
+        &[b"EXISTS", &kb],
+        &[b"EXPIRE", &kb, b"60"],
+        &[b"PEXPIRE", &kb, b"60000"],
+        &[b"TTL", &kb],
+        &[b"PTTL", &kb],
+        &[b"PERSIST", &kb],
+    ] {
+        match ca.command(cmd).unwrap() {
+            Value::Error(e) => assert_eq!(e, format!("MOVED {slot} {b_addr}")),
+            other => panic!("expected MOVED for {}, got {other:?}", String::from_utf8_lossy(cmd[0])),
+        }
     }
     // The owner serves it; reads see the write.
     assert_ok(&cb.command(&[b"SET", &kb, b"v"]).unwrap());
@@ -551,6 +566,9 @@ fn redirects_propagate_trace_hops() {
     cc.set(&k0, b"v0").unwrap();
     let id0 = cc.last_trace_id();
     assert!(id0 > 0, "a traced op must learn its server-assigned span id");
+    // A span is published once its reply is flushed, so the reply can
+    // reach the client first.
+    wait_for("span on the direct owner", || ca.trace_get(id0).unwrap().is_some());
     let rec0 = ca.trace_get(id0).unwrap().expect("span on the direct owner");
     assert_eq!(rec0.hops, 0);
     assert_eq!(rec0.reason, "forced");
@@ -564,11 +582,13 @@ fn redirects_propagate_trace_hops() {
     cc.set(&k1, b"v1").unwrap();
     let id1 = cc.last_trace_id();
     assert!(id1 > 0 && id1 != id0);
+    wait_for("span on the final owner after MOVED", || cb.trace_get(id1).unwrap().is_some());
     let rec1 = cb.trace_get(id1).unwrap().expect("span on the final owner after MOVED");
     assert!(rec1.hops >= 1, "redirected span must carry its hop count: {rec1:?}");
     assert_eq!(rec1.reason, "forced");
     assert_eq!(rec1.cmd, "SET");
     // The redirecting node holds the MOVED attempt under the same id.
+    wait_for("the first attempt traced on a", || ca.trace_get(id1).unwrap().is_some());
     let rec_a = ca.trace_get(id1).unwrap().expect("the first attempt traced on a");
     assert_eq!(rec_a.hops, 0);
 

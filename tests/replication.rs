@@ -182,8 +182,13 @@ fn replica_is_read_only_until_promoted() {
     // Writes bounce with the READONLY error class (not ERR).
     for cmd in [
         vec![b"SET".to_vec(), k0.clone(), b"nope".to_vec()],
+        vec![b"SET".to_vec(), k0.clone(), b"nope".to_vec(), b"PX".to_vec(), b"60000".to_vec()],
         vec![b"DEL".to_vec(), k0.clone()],
+        vec![b"UNLINK".to_vec(), k0.clone()],
         vec![b"MSET".to_vec(), k0.clone(), b"nope".to_vec()],
+        vec![b"EXPIRE".to_vec(), k0.clone(), b"60".to_vec()],
+        vec![b"PEXPIRE".to_vec(), k0.clone(), b"60000".to_vec()],
+        vec![b"PERSIST".to_vec(), k0.clone()],
     ] {
         let parts: Vec<&[u8]> = cmd.iter().map(|p| p.as_slice()).collect();
         let Value::Error(e) = rc.command(&parts).unwrap() else {
