@@ -135,14 +135,17 @@ impl<K> ScanPage<K> {
 /// [`remove_many`](PmHashTable::remove_many) run a whole slice of
 /// operations under a single epoch entry. The default implementations
 /// pin once and loop over the single-key ops, which is already
-/// trait-conformant for every table; Dash-EH/LH override them with
-/// native single-pin probe loops.
+/// trait-conformant for every table; Dash-EH and Dash-LH share one
+/// implementation (`dash_core::Dash`, generic over the scheme) whose
+/// batch ops run the probe loops under the one pin without re-entering
+/// the epoch per key.
 ///
 /// It is also **iteration-first**: [`scan`](PmHashTable::scan) pages
 /// through the whole table behind a stable [`ScanCursor`], which is what
 /// bulk consumers (`len_scan`, the server's `SCAN`, snapshot export,
 /// replication bootstrap) build on. Dash-EH and Dash-LH implement it
-/// natively with the guarantee spelled out on `scan`; CCEH and Level
+/// natively, each with its own cursor, with the guarantee spelled out on
+/// `scan`; CCEH and Level
 /// Hashing fall back to the trait default (full-walk pagination in hash
 /// order), which upholds the same contract only for quiescent tables.
 pub trait PmHashTable<K: Key>: Send + Sync {
@@ -211,7 +214,8 @@ pub trait PmHashTable<K: Key>: Send + Sync {
     /// a structural operation moved the record mid-scan. Keys inserted
     /// or removed while the scan runs may or may not appear.
     ///
-    /// The default implementation paginates a full [`for_each_kv`]
+    /// The default implementation paginates a full
+    /// [`for_each_kv`](PmHashTable::for_each_kv)
     /// (filtered and ordered by `hash64`) — correct pagination for a
     /// quiescent table, best-effort under mutation; tables with a
     /// walkable structure override it.
@@ -253,7 +257,8 @@ pub trait PmHashTable<K: Key>: Send + Sync {
     /// Total record slots currently allocated (for load-factor studies).
     fn capacity_slots(&self) -> u64;
 
-    /// Records currently stored: one [`for_each_kv`] pass — the single
+    /// Records currently stored: one
+    /// [`for_each_kv`](PmHashTable::for_each_kv) pass — the single
     /// shared counting loop over the iteration surface (paging through
     /// `scan` would re-walk the whole table per page on tables using the
     /// full-walk default). Not for hot paths.

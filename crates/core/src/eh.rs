@@ -8,20 +8,23 @@
 //! and are finished or rolled back by lazy recovery (§4.8). Directory
 //! doubling publishes a freshly built directory with one atomic root
 //! store; the old directory is reclaimed through the epoch manager.
+//!
+//! The table protocol around these pieces (point and batch ops, the
+//! recovery skeleton, the record move, iteration) is shared with Dash-LH
+//! in [`Dash`]; this module supplies the directory, the SMOs, the scan
+//! cursor and the root layout.
 
-use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
-use dash_common::{Key, PmHashTable, ScanCursor, ScanPage, TableError, TableResult};
+use dash_common::{Key, ScanCursor, ScanPage, TableError, TableResult};
 use parking_lot::Mutex;
 use pmem::{PmOffset, PmemPool};
 
 use crate::config::DashConfig;
 use crate::segment::{
-    SegFind, SegGeom, SegInsert, SegMutate, SegView, SegmentHeader, STATE_MERGING, STATE_NEW,
-    STATE_NORMAL, STATE_SPLITTING,
+    SegView, SegmentHeader, STATE_MERGING, STATE_NEW, STATE_NORMAL, STATE_SPLITTING,
 };
+use crate::table::{Dash, Scheme};
 
 const EH_MAGIC: u64 = 0xDA58_0E01_0000_0001;
 /// Directory depth cap: 2^24 entries (128 MB of directory).
@@ -39,12 +42,12 @@ struct EhRoot {
 /// Dash extendible hashing over an emulated PM pool.
 ///
 /// One table per pool: the table's root object is published through the
-/// pool root, which is how [`DashEh::open`] finds it after a restart.
-pub struct DashEh<K: Key = u64> {
-    pool: Arc<PmemPool>,
-    root: PmOffset,
-    cfg: DashConfig,
-    geom: SegGeom,
+/// pool root, which is how [`Dash::open`] finds it after a restart.
+pub type DashEh<K = u64> = Dash<K, Eh>;
+
+/// The extendible-hashing scheme of [`DashEh`]: its volatile state.
+#[derive(Default)]
+pub struct Eh {
     /// Volatile lock serializing directory doubling/halving and entry
     /// rewrites (segment-level isolation comes from bucket locks, §4.4).
     dir_lock: Mutex<()>,
@@ -54,120 +57,302 @@ pub struct DashEh<K: Key = u64> {
     splits: AtomicU64,
     doublings: AtomicU64,
     merges: AtomicU64,
-    _k: PhantomData<fn(K) -> K>,
 }
 
-impl<K: Key> DashEh<K> {
-    /// Create a fresh table in `pool` and publish it as the pool root.
-    pub fn create(pool: Arc<PmemPool>, cfg: DashConfig) -> TableResult<Self> {
-        cfg.validate().map_err(|_| TableError::Pm(pmem::PmError::InvalidConfig("dash config")))?;
-        let geom = SegGeom::from_cfg(&cfg);
-        let v = pool.global_version();
+impl Scheme for Eh {
+    const NAME: &'static str = "Dash-EH";
+    const ROOT_BYTES: usize = std::mem::size_of::<EhRoot>();
+    const CHAINS: bool = false;
 
-        let root = pool.alloc_zeroed(std::mem::size_of::<EhRoot>())?;
-        let depth = cfg.initial_depth;
+    fn new(_cfg: &DashConfig) -> TableResult<Self> {
+        Ok(Eh::default())
+    }
+
+    fn format<K: Key>(t: &DashEh<K>) -> TableResult<()> {
+        let (pool, geom) = (&t.pool, t.geom);
+        let v = pool.global_version();
+        let depth = t.cfg.initial_depth;
         let len = 1usize << depth;
         let dir = pool.alloc_zeroed(8 + 8 * len)?;
         // SAFETY: fresh directory block.
         unsafe { (*pool.at::<AtomicU64>(dir)).store(depth as u64, Ordering::Relaxed) };
-        for i in 0..len {
-            let seg = pool.alloc(geom.bytes())?;
-            let view = SegView::new(&pool, seg, geom);
-            view.init(STATE_NORMAL, depth, i as u64, PmOffset::NULL, PmOffset::NULL, v, 0);
+        let segs = (0..len).map(|_| pool.alloc(geom.bytes())).collect::<Result<Vec<_>, _>>()?;
+        for (i, &seg) in segs.iter().enumerate() {
+            // Side-link the initial segments left-to-right (recovery chain).
+            let side = segs.get(i + 1).copied().unwrap_or(PmOffset::NULL);
+            let view = SegView::new(pool, seg, geom);
+            view.init(STATE_NORMAL, depth, i as u64, side, PmOffset::NULL, v, 0);
             // SAFETY: entry i of the fresh directory.
             unsafe {
                 (*pool.at::<AtomicU64>(dir.add(8 + 8 * i as u64))).store(seg.get(), Ordering::Relaxed)
             };
         }
-        // Side-link the initial segments left-to-right (recovery chain).
-        for i in 0..len.saturating_sub(1) {
-            let s = unsafe { (*pool.at::<AtomicU64>(dir.add(8 + 8 * i as u64))).load(Ordering::Relaxed) };
-            let n = unsafe {
-                (*pool.at::<AtomicU64>(dir.add(8 + 8 * (i as u64 + 1)))).load(Ordering::Relaxed)
-            };
-            let view = SegView::new(&pool, PmOffset::new(s), geom);
-            view.header().side_link.store(n, Ordering::Relaxed);
-        }
         pool.persist(dir, 8 + 8 * len);
 
-        // SAFETY: fresh root block.
-        let rootref = unsafe { pool.at_ref::<EhRoot>(root) };
+        let rootref = t.rootref();
         rootref.magic.store(EH_MAGIC, Ordering::Relaxed);
-        rootref.flags.store(cfg.to_flags(), Ordering::Relaxed);
+        rootref.flags.store(t.cfg.to_flags(), Ordering::Relaxed);
         rootref.directory.store(dir.get(), Ordering::Relaxed);
-        pool.persist(root, std::mem::size_of::<EhRoot>());
-        pool.set_root(root);
-
-        Ok(DashEh {
-            pool,
-            root,
-            cfg,
-            geom,
-            dir_lock: Mutex::new(()),
-            splits: AtomicU64::new(0),
-            doublings: AtomicU64::new(0),
-            merges: AtomicU64::new(0),
-            _k: PhantomData,
-        })
+        pool.persist(t.root, std::mem::size_of::<EhRoot>());
+        Ok(())
     }
 
-    /// Reopen the table persisted in `pool` (instant recovery: this does
-    /// constant work; segments are recovered lazily on first access).
-    pub fn open(pool: Arc<PmemPool>) -> TableResult<Self> {
-        let root = pool.root();
-        if root.is_null() {
-            return Err(TableError::Pm(pmem::PmError::PoolCorrupt("no root object")));
-        }
+    fn read_config(pool: &PmemPool, root: PmOffset) -> TableResult<DashConfig> {
         // SAFETY: root published by create().
         let rootref = unsafe { pool.at_ref::<EhRoot>(root) };
         if rootref.magic.load(Ordering::Relaxed) != EH_MAGIC {
             return Err(TableError::Pm(pmem::PmError::PoolCorrupt("not a Dash-EH root")));
         }
-        let cfg = DashConfig::from_flags(rootref.flags.load(Ordering::Relaxed), 64, 8);
-        let geom = SegGeom::from_cfg(&cfg);
-        let table = DashEh {
-            pool,
-            root,
-            cfg,
-            geom,
-            dir_lock: Mutex::new(()),
-            splits: AtomicU64::new(0),
-            doublings: AtomicU64::new(0),
-            merges: AtomicU64::new(0),
-            _k: PhantomData,
-        };
-        if table.pool.recovery_outcome().wrapped {
-            // §4.8: on version wrap-around, reset every segment's version
-            // so each recovers (trivially or not) on first access.
-            table.for_each_segment(|seg| {
-                let view = SegView::new(&table.pool, seg, geom);
-                view.header().rec_version.store(0, Ordering::Release);
-            });
+        Ok(DashConfig::from_flags(rootref.flags.load(Ordering::Relaxed), 64, 8))
+    }
+
+    fn resolve<K: Key>(t: &DashEh<K>, h: u64) -> TableResult<(u64, PmOffset)> {
+        let seg = t.resolve(h);
+        Ok((seg.get(), seg))
+    }
+
+    fn still_maps<K: Key>(t: &DashEh<K>, h: u64, route: u64) -> bool {
+        t.locate(h).get() == route
+    }
+
+    /// Split the segment currently covering `h`. Steps: mark SPLITTING,
+    /// allocate-activate the new segment into the side link, rehash with
+    /// delete-after-insert, then update the directory and depths.
+    fn grow<K: Key>(t: &DashEh<K>, h: u64) -> TableResult<()> {
+        let mode = t.cfg.lock_mode;
+        let seg = t.resolve(h);
+        let sview = t.view(seg);
+        let depth_before = sview.header().local_depth.load(Ordering::Acquire);
+        sview.lock_all(mode);
+        if t.locate(h) != seg
+            || sview.header().local_depth.load(Ordering::Acquire) != depth_before
+        {
+            // Someone else split first; the insert retry will see it.
+            sview.unlock_all(mode);
+            return Ok(());
         }
-        Ok(table)
+
+        let l = depth_before;
+        let dir = t.dir_off();
+        if l == t.dir_depth(dir) {
+            if let Err(e) = t.double_directory(l) {
+                sview.unlock_all(mode);
+                return Err(e);
+            }
+            // Depth changed; re-derive chunk bounds below.
+        }
+
+        let hdr = sview.header();
+        hdr.state.store(STATE_SPLITTING, Ordering::Release);
+        t.pool.persist(t.pool.offset_of(&hdr.state), 4);
+
+        let old_side = hdr.side_link.load(Ordering::Acquire);
+        let side_slot = t.pool.offset_of(&hdr.side_link);
+        let ticket = match t.pool.prepare_alloc(t.geom.bytes(), side_slot) {
+            Ok(ticket) => ticket,
+            Err(e) => {
+                hdr.state.store(STATE_NORMAL, Ordering::Release);
+                t.pool.persist(t.pool.offset_of(&hdr.state), 4);
+                sview.unlock_all(mode);
+                return Err(e.into());
+            }
+        };
+        let n_off = ticket.block;
+        let nview = t.view(n_off);
+        let pattern = hdr.pattern.load(Ordering::Acquire);
+        nview.init(
+            STATE_NEW,
+            l + 1,
+            (pattern << 1) | 1,
+            PmOffset::new(old_side),
+            seg,
+            t.pool.global_version(),
+            0,
+        );
+        t.pool.commit_alloc(ticket); // side_link := N, persisted
+
+        let moved = Self::rehash_split(t, seg, n_off);
+        if moved.is_ok() {
+            Self::finish_split(t, seg, n_off);
+            t.scheme.splits.fetch_add(1, Ordering::Relaxed);
+        }
+        sview.unlock_all(mode);
+        moved
     }
 
-    pub fn config(&self) -> &DashConfig {
-        &self.cfg
+    /// Merge the segment with its buddy once its load factor drops below
+    /// `merge_threshold` (0.0 disables merging).
+    fn removed<K: Key>(t: &DashEh<K>, h: u64) {
+        if t.cfg.merge_threshold <= 0.0 {
+            return;
+        }
+        let seg = t.locate(h);
+        let view = t.view(seg);
+        let records = view.count_records();
+        let slots = view.capacity_slots();
+        if slots == 0 || (records as f64 / slots as f64) >= t.cfg.merge_threshold {
+            return;
+        }
+        let _ = t.try_merge(seg);
     }
 
-    pub fn pool(&self) -> &Arc<PmemPool> {
-        &self.pool
+    /// Step 2: move the records belonging to the new segment `n` (delete
+    /// after insert, §4.7). A failed move undoes step 1 — `s` is NORMAL
+    /// again with its old side link and `n` is freed — so the split never
+    /// happened. Recovery reruns this to redo a crashed split.
+    fn rehash_split<K: Key>(t: &DashEh<K>, s: PmOffset, n: PmOffset) -> TableResult<()> {
+        let (s, n) = (t.view(s), t.view(n));
+        let new_depth = n.header().local_depth.load(Ordering::Acquire);
+        t.move_records(s, n, |kh| (kh >> (64 - new_depth)) & 1 == 1).inspect_err(|_| {
+            let sh = s.header();
+            sh.state.store(STATE_NORMAL, Ordering::Release);
+            sh.side_link.store(n.header().side_link.load(Ordering::Acquire), Ordering::Release);
+            t.pool.persist(s.off, 64);
+            // No reader can reach `n`: it never entered the directory.
+            t.pool.free_now(n.off, t.geom.bytes());
+        })
     }
 
+    /// Step 3: point the upper half of the chunk at `n`, bump `s`'s local
+    /// depth/pattern, clear SMO states. Idempotent — recovery reruns it.
+    fn finish_split<K: Key>(t: &DashEh<K>, s: PmOffset, n: PmOffset) {
+        let (s, n) = (t.view(s), t.view(n));
+        let _dl = t.scheme.dir_lock.lock();
+        let dir = t.dir_off();
+        let g = t.dir_depth(dir);
+        let nh = n.header();
+        let sh = s.header();
+        let new_l = nh.local_depth.load(Ordering::Acquire);
+        let pattern_n = nh.pattern.load(Ordering::Acquire);
+        debug_assert!(new_l <= g);
+        let span = 1usize << (g - new_l);
+        let start = (pattern_n as usize) << (g - new_l);
+        for i in start..start + span {
+            t.dir_entry(dir, i).store(n.off.get(), Ordering::Release);
+        }
+        t.pool.persist(dir.add(8 + 8 * start as u64), 8 * span);
+
+        sh.local_depth.store(new_l, Ordering::Release);
+        sh.pattern.store(pattern_n & !1, Ordering::Release);
+        t.pool.persist(s.off, 64);
+        nh.state.store(STATE_NORMAL, Ordering::Release);
+        t.pool.persist(n.off, 64);
+        sh.state.store(STATE_NORMAL, Ordering::Release);
+        t.pool.persist(s.off, 64);
+    }
+
+    fn recover_merge<K: Key>(t: &DashEh<K>, seg: PmOffset) -> bool {
+        let view = t.view(seg);
+        let hdr = view.header();
+        let s_off = PmOffset::new(hdr.back_link.load(Ordering::Acquire));
+        if s_off.is_null() {
+            hdr.state.store(STATE_NORMAL, Ordering::Release);
+            t.pool.persist(t.pool.offset_of(&hdr.state), 4);
+            return true;
+        }
+        // Forward-complete the merge; B (this segment) is then unreachable
+        // and freed. A drain that fails rolls the merge back instead, and
+        // B stays live.
+        t.recover_segment(s_off);
+        let s = t.view(s_off);
+        s.lock_all(t.cfg.lock_mode);
+        let merged = t.drain_merge(view, s).is_ok();
+        if merged {
+            t.finish_merge(s, view);
+        }
+        s.unlock_all(t.cfg.lock_mode);
+        !merged
+    }
+
+    /// Directory entries for a segment are contiguous under MSB
+    /// addressing, so runs of equal entries are one segment.
+    fn for_each_segment<K: Key>(t: &DashEh<K>, mut f: impl FnMut(PmOffset)) {
+        let dir = t.dir_off();
+        let len = 1usize << t.dir_depth(dir);
+        let mut last = PmOffset::NULL;
+        for i in 0..len {
+            let s = PmOffset::new(t.dir_entry(dir, i).load(Ordering::Acquire));
+            if s != last {
+                f(s);
+                last = s;
+            }
+        }
+    }
+
+    /// Paged iteration with a split-stable cursor.
+    ///
+    /// The cursor is a **keyspace position**: the 64-bit hash boundary of
+    /// the next segment to visit. Under MSB directory addressing (§4.7) a
+    /// record with hash `h` always lives in the segment whose directory
+    /// entry covers `h` — a split moves records only between the two
+    /// halves of the segment's own hash range, and directory
+    /// doubling/halving renumbers entries without moving a single hash
+    /// boundary. Scanning range-by-range in hash order therefore yields
+    /// every key that stays present at least once, no matter how many
+    /// SMOs run mid-scan: ranges behind the cursor keep their keys, and
+    /// ranges ahead are visited whatever segment ends up holding them.
+    ///
+    /// Each page snapshots whole segments (version-validated, so the
+    /// page is a union of per-segment atomic states) and runs past
+    /// `budget` only to finish the current segment. The position
+    /// encodes the covering segment's local depth implicitly — it *is*
+    /// the range boundary `(pattern+1) << (64-depth)` — so a merge that
+    /// widens the segment under a resumed cursor is handled by filtering
+    /// out the already-yielded lower half (`hash < pos`).
+    fn scan<K: Key>(t: &DashEh<K>, mut pos: u64, budget: usize) -> ScanPage<K> {
+        let mut items: Vec<(K, u64)> = Vec::new();
+        loop {
+            let seg = t.resolve(pos);
+            let view = t.view(seg);
+            let hdr = view.header();
+            let depth = hdr.local_depth.load(Ordering::Acquire);
+            let pattern = hdr.pattern.load(Ordering::Acquire);
+            let verify = || {
+                t.locate(pos) == seg
+                    && hdr.local_depth.load(Ordering::Acquire) == depth
+                    && hdr.pattern.load(Ordering::Acquire) == pattern
+            };
+            let Some(raw) = view.snapshot_records(t.cfg.lock_mode, verify) else {
+                // The segment split or merged under us; re-resolve `pos`
+                // against the new directory state.
+                continue;
+            };
+            for (key_repr, value) in raw {
+                if K::hash_stored(&t.pool, key_repr) < pos {
+                    // Lower half of a segment merged since the cursor was
+                    // issued: already yielded from its previous generation.
+                    continue;
+                }
+                if let Some(key) = K::decode_stored(&t.pool, key_repr) {
+                    items.push((key, value));
+                }
+            }
+            // Advance past this segment's hash range.
+            if depth == 0 || pattern + 1 == (1u64 << depth) {
+                return ScanPage { items, cursor: ScanCursor::finished() };
+            }
+            pos = (pattern + 1) << (64 - depth);
+            if items.len() >= budget {
+                return ScanPage { items, cursor: ScanCursor::resume(pos) };
+            }
+        }
+    }
+}
+
+impl<K: Key> DashEh<K> {
     /// Completed segment splits since this handle opened (volatile).
     pub fn split_count(&self) -> u64 {
-        self.splits.load(Ordering::Relaxed)
+        self.scheme.splits.load(Ordering::Relaxed)
     }
 
     /// Directory doublings since this handle opened (volatile).
     pub fn doubling_count(&self) -> u64 {
-        self.doublings.load(Ordering::Relaxed)
+        self.scheme.doublings.load(Ordering::Relaxed)
     }
 
     /// Completed segment merges since this handle opened (volatile).
     pub fn merge_count(&self) -> u64 {
-        self.merges.load(Ordering::Relaxed)
+        self.scheme.merges.load(Ordering::Relaxed)
     }
 
     fn rootref(&self) -> &EhRoot {
@@ -226,267 +411,11 @@ impl<K: Key> DashEh<K> {
         }
     }
 
-    fn view(&self, seg: PmOffset) -> SegView<'_> {
-        SegView::new(&self.pool, seg, self.geom)
-    }
-
-    /// Visit each distinct segment once (directory entries for a segment
-    /// are contiguous under MSB addressing).
-    fn for_each_segment(&self, mut f: impl FnMut(PmOffset)) {
-        let dir = self.dir_off();
-        let len = 1usize << self.dir_depth(dir);
-        let mut last = PmOffset::NULL;
-        for i in 0..len {
-            let s = PmOffset::new(self.dir_entry(dir, i).load(Ordering::Acquire));
-            if s != last {
-                f(s);
-                last = s;
-            }
-        }
-    }
-
-    // ---- public operations ----------------------------------------------
-
-    pub fn get(&self, key: &K) -> Option<u64> {
-        let _g = self.pool.epoch().pin();
-        self.get_pinned(key)
-    }
-
-    /// `get` body without the epoch entry — the caller holds the pin
-    /// (single ops pin per call; [`DashEh::get_many`] pins per batch).
-    fn get_pinned(&self, key: &K) -> Option<u64> {
-        let h = key.hash64();
-        loop {
-            let seg = self.resolve(h);
-            match self.view(seg).search(&self.cfg, h, key, || self.locate(h) == seg) {
-                SegFind::Found(v) => return Some(v),
-                SegFind::NotFound => return None,
-                SegFind::Retry => std::hint::spin_loop(),
-            }
-        }
-    }
-
-    pub fn insert(&self, key: &K, value: u64) -> TableResult<()> {
-        let _g = self.pool.epoch().pin();
-        self.insert_pinned(key, value)
-    }
-
-    fn insert_pinned(&self, key: &K, value: u64) -> TableResult<()> {
-        let h = key.hash64();
-        let key_repr = key.encode(&self.pool)?;
-        loop {
-            let seg = self.resolve(h);
-            let r = self.view(seg).insert(&self.cfg, h, key, key_repr, value, false, || {
-                self.locate(h) == seg
-            })?;
-            match r {
-                SegInsert::Inserted { .. } => return Ok(()),
-                SegInsert::Duplicate => {
-                    if !K::INLINE {
-                        K::release(&self.pool, key_repr);
-                    }
-                    return Err(TableError::Duplicate);
-                }
-                SegInsert::Retry => continue,
-                SegInsert::NeedSplit => self.split(h)?,
-            }
-        }
-    }
-
-    pub fn update(&self, key: &K, value: u64) -> bool {
-        let h = key.hash64();
-        let _g = self.pool.epoch().pin();
-        loop {
-            let seg = self.resolve(h);
-            match self.view(seg).update(&self.cfg, h, key, value, || self.locate(h) == seg) {
-                SegMutate::Done(_) => return true,
-                SegMutate::NotFound => return false,
-                SegMutate::Retry => std::hint::spin_loop(),
-            }
-        }
-    }
-
-    pub fn remove(&self, key: &K) -> bool {
-        let _g = self.pool.epoch().pin();
-        self.remove_pinned(key)
-    }
-
-    fn remove_pinned(&self, key: &K) -> bool {
-        let h = key.hash64();
-        loop {
-            let seg = self.resolve(h);
-            match self.view(seg).remove(&self.cfg, h, key, || self.locate(h) == seg) {
-                SegMutate::Done(repr) => {
-                    if !K::INLINE {
-                        K::release(&self.pool, repr);
-                    }
-                    if self.cfg.merge_threshold > 0.0 {
-                        self.maybe_merge(h);
-                    }
-                    return true;
-                }
-                SegMutate::NotFound => return false,
-                SegMutate::Retry => std::hint::spin_loop(),
-            }
-        }
-    }
-
-    // ---- batched operations (§4.5: one epoch entry per batch) ------------
-
-    /// Batched lookup: enter the epoch once, then run the
-    /// fingerprint-probe loop per key. Results are in key order.
-    pub fn get_many(&self, keys: &[K]) -> Vec<Option<u64>> {
-        let _g = self.pool.epoch().pin();
-        keys.iter().map(|k| self.get_pinned(k)).collect()
-    }
-
-    /// Batched insert under one epoch entry; one result per item, in
-    /// order (splits and directory doublings triggered mid-batch happen
-    /// under the same pin).
-    pub fn insert_many(&self, items: &[(K, u64)]) -> Vec<TableResult<()>> {
-        let _g = self.pool.epoch().pin();
-        items.iter().map(|(k, v)| self.insert_pinned(k, *v)).collect()
-    }
-
-    /// Batched remove under one epoch entry; one `bool` per key, in order.
-    pub fn remove_many(&self, keys: &[K]) -> Vec<bool> {
-        let _g = self.pool.epoch().pin();
-        keys.iter().map(|k| self.remove_pinned(k)).collect()
-    }
-
     // ---- structural modification operations (§4.7) -----------------------
 
-    /// Split the segment currently covering `h`. Steps: mark SPLITTING,
-    /// allocate-activate the new segment into the side link, rehash with
-    /// delete-after-insert, then update the directory and depths.
-    fn split(&self, h: u64) -> TableResult<()> {
-        let mode = self.cfg.lock_mode;
-        let seg = self.resolve(h);
-        let sview = self.view(seg);
-        let depth_before = sview.header().local_depth.load(Ordering::Acquire);
-        sview.lock_all(mode);
-        if self.locate(h) != seg
-            || sview.header().local_depth.load(Ordering::Acquire) != depth_before
-        {
-            // Someone else split first; the insert retry will see it.
-            sview.unlock_all(mode);
-            return Ok(());
-        }
-
-        let l = depth_before;
-        let dir = self.dir_off();
-        if l == self.dir_depth(dir) {
-            if let Err(e) = self.double_directory(l) {
-                sview.unlock_all(mode);
-                return Err(e);
-            }
-            // Depth changed; re-derive chunk bounds below.
-        }
-
-        let hdr = sview.header();
-        hdr.state.store(STATE_SPLITTING, Ordering::Release);
-        self.pool.persist(self.pool.offset_of(&hdr.state), 4);
-
-        let old_side = hdr.side_link.load(Ordering::Acquire);
-        let side_slot = self.pool.offset_of(&hdr.side_link);
-        let ticket = match self.pool.prepare_alloc(self.geom.bytes(), side_slot) {
-            Ok(t) => t,
-            Err(e) => {
-                hdr.state.store(STATE_NORMAL, Ordering::Release);
-                self.pool.persist(self.pool.offset_of(&hdr.state), 4);
-                sview.unlock_all(mode);
-                return Err(e.into());
-            }
-        };
-        let n_off = ticket.block;
-        let nview = self.view(n_off);
-        let pattern = hdr.pattern.load(Ordering::Acquire);
-        nview.init(
-            STATE_NEW,
-            l + 1,
-            (pattern << 1) | 1,
-            PmOffset::new(old_side),
-            seg,
-            self.pool.global_version(),
-            0,
-        );
-        self.pool.commit_alloc(ticket); // side_link := N, persisted
-
-        self.rehash_split(sview, nview)?;
-        self.finish_split(sview, nview);
-        sview.unlock_all(mode);
-        self.splits.fetch_add(1, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// Move records belonging to the new segment `n` (delete after
-    /// insert, §4.7). `check_unique` guards recovery redo.
-    fn rehash_split(&self, s: SegView<'_>, n: SegView<'_>) -> TableResult<()> {
-        let new_depth = n.header().local_depth.load(Ordering::Acquire);
-        let mut to_move = Vec::new();
-        s.for_each_record(|loc, slot, key_repr, value| {
-            let kh = K::hash_stored(&self.pool, key_repr);
-            if (kh >> (64 - new_depth)) & 1 == 1 {
-                to_move.push((loc, slot, key_repr, value, kh));
-            }
-        });
-        let redo = n.count_records() > 0;
-        for (loc, slot, key_repr, value, kh) in to_move {
-            if redo {
-                // Recovery rerun: skip records already moved pre-crash.
-                let mut exists = false;
-                n.for_each_record(|_, _, kr, _| {
-                    if kr == key_repr {
-                        exists = true;
-                    }
-                });
-                if exists {
-                    s.delete_at(loc, slot);
-                    continue;
-                }
-            }
-            if !n.insert_unlocked(&self.cfg, kh, key_repr, value, true)? {
-                return Err(TableError::CapacityExhausted);
-            }
-            s.delete_at(loc, slot);
-        }
-        s.rebuild_overflow::<K>(&self.cfg);
-        s.prune_chain();
-        Ok(())
-    }
-
-    /// Step 3: point the upper half of the chunk at `n`, bump `s`'s local
-    /// depth/pattern, clear SMO states. Idempotent — recovery reruns it.
-    fn finish_split(&self, s: SegView<'_>, n: SegView<'_>) {
-        let _dl = self.dir_lock.lock();
-        let dir = self.dir_off();
-        let g = self.dir_depth(dir);
-        let nh = n.header();
-        let sh = s.header();
-        let new_l = nh.local_depth.load(Ordering::Acquire);
-        let pattern_n = nh.pattern.load(Ordering::Acquire);
-        debug_assert!(new_l <= g);
-        let span = 1usize << (g - new_l);
-        let start = (pattern_n as usize) << (g - new_l);
-        for i in start..start + span {
-            self.dir_entry(dir, i).store(n.off.get(), Ordering::Release);
-        }
-        self.pool.persist(dir.add(8 + 8 * start as u64), 8 * span);
-
-        sh.local_depth.store(new_l, Ordering::Release);
-        sh.pattern.store(pattern_n & !1, Ordering::Release);
-        self.pool.persist(s.off, 64);
-        nh.state.store(STATE_NORMAL, Ordering::Release);
-        self.pool.persist(n.off, 64);
-        sh.state.store(STATE_NORMAL, Ordering::Release);
-        self.pool.persist(s.off, 64);
-    }
-
-    /// Double the directory (§4.7): build a new one with every entry
-    /// duplicated, publish it with one atomic, persisted root store, and
-    /// epoch-free the old.
+    /// Double the directory (§4.7): every entry duplicated.
     fn double_directory(&self, seen_depth: u32) -> TableResult<()> {
-        let _dl = self.dir_lock.lock();
+        let _dl = self.scheme.dir_lock.lock();
         let dir = self.dir_off();
         let depth = self.dir_depth(dir);
         if depth > seen_depth {
@@ -495,47 +424,48 @@ impl<K: Key> DashEh<K> {
         if depth >= MAX_DEPTH {
             return Err(TableError::CapacityExhausted);
         }
-        let old_len = 1usize << depth;
-        let new_len = old_len * 2;
-        let dir_slot = self.pool.offset_of(&self.rootref().directory);
-        let ticket = self.pool.prepare_alloc(8 + 8 * new_len, dir_slot)?;
-        let new_dir = ticket.block;
-        // SAFETY: fresh directory block.
-        unsafe { (*self.pool.at::<AtomicU64>(new_dir)).store(depth as u64 + 1, Ordering::Relaxed) };
-        for i in 0..old_len {
-            let e = self.dir_entry(dir, i).load(Ordering::Acquire);
-            for j in [2 * i, 2 * i + 1] {
-                // SAFETY: entry j of the fresh directory.
-                unsafe {
-                    (*self.pool.at::<AtomicU64>(new_dir.add(8 + 8 * j as u64)))
-                        .store(e, Ordering::Relaxed)
-                };
-            }
-        }
-        self.pool.persist(new_dir, 8 + 8 * new_len);
-        self.pool.commit_alloc(ticket); // root.directory := new_dir, persisted
-        self.pool.defer_free(dir, 8 + 8 * old_len);
-        self.doublings.fetch_add(1, Ordering::Relaxed);
+        self.publish_directory(dir, depth + 1, |j| {
+            self.dir_entry(dir, j / 2).load(Ordering::Acquire)
+        })?;
+        self.scheme.doublings.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
-    // ---- merge (load-factor driven, forward-only) ------------------------
-
-    fn maybe_merge(&self, h: u64) {
-        let seg = self.locate(h);
-        let view = self.view(seg);
-        let records = view.count_records();
-        let slots = view.capacity_slots();
-        if slots == 0 || (records as f64 / slots as f64) >= self.cfg.merge_threshold {
-            return;
+    /// Replace the directory `old` by a freshly built one of depth `depth`
+    /// whose entry `i` is `entry(i)`: publish it with one atomic,
+    /// persisted root store and epoch-free the old one (§4.7).
+    fn publish_directory(
+        &self,
+        old: PmOffset,
+        depth: u32,
+        entry: impl Fn(usize) -> u64,
+    ) -> TableResult<()> {
+        let len = 1usize << depth;
+        let dir_slot = self.pool.offset_of(&self.rootref().directory);
+        let ticket = self.pool.prepare_alloc(8 + 8 * len, dir_slot)?;
+        let new_dir = ticket.block;
+        // SAFETY: fresh directory block: the depth word, then the entries.
+        unsafe {
+            (*self.pool.at::<AtomicU64>(new_dir)).store(depth as u64, Ordering::Relaxed);
+            for i in 0..len {
+                (*self.pool.at::<AtomicU64>(new_dir.add(8 + 8 * i as u64)))
+                    .store(entry(i), Ordering::Relaxed);
+            }
         }
-        let _ = self.try_merge(seg);
+        self.pool.persist(new_dir, 8 + 8 * len);
+        self.pool.commit_alloc(ticket); // root.directory := new_dir, persisted
+        self.pool.defer_free(old, 8 + 8 * (1usize << self.dir_depth(old)));
+        Ok(())
     }
 
+    // ---- merge (load-factor driven) -----------------------------------------
+
     /// Merge `seg` with its buddy: the odd-pattern segment (B) drains into
-    /// the even one (S). Forward-only: once B is marked MERGING the merge
-    /// always completes (records can spill into S's stash chain), so
-    /// recovery never needs a rollback with unreachable records.
+    /// the even one (S). Once B is marked MERGING the merge completes
+    /// (records can spill into S's stash chain), so recovery never needs
+    /// a rollback with unreachable records — unless the pool cannot
+    /// supply a chain node: then the drain leaves B whole and the merge
+    /// is rolled back.
     fn try_merge(&self, seg: PmOffset) -> TableResult<bool> {
         let mode = self.cfg.lock_mode;
         let hdr = unsafe { self.pool.at_ref::<SegmentHeader>(seg) };
@@ -552,24 +482,15 @@ impl<K: Key> DashEh<K> {
         if l > g {
             return Ok(false);
         }
-        let s_off = PmOffset::new(
-            self.dir_entry(dir, (s_pat as usize) << (g - l)).load(Ordering::Acquire),
-        );
-        let b_off = PmOffset::new(
-            self.dir_entry(dir, (b_pat as usize) << (g - l)).load(Ordering::Acquire),
-        );
+        let entry = |pat: u64| self.dir_entry(dir, (pat as usize) << (g - l)).load(Ordering::Acquire);
+        let (s_off, b_off) = (PmOffset::new(entry(s_pat)), PmOffset::new(entry(b_pat)));
         if s_off == b_off || s_off.is_null() || b_off.is_null() {
             return Ok(false);
         }
         // Both segments must be through the recovery gate before we take
         // their bucket locks (either may carry crash-persisted locks).
-        let v = self.pool.global_version();
-        for off in [s_off, b_off] {
-            let hdr = unsafe { self.pool.at_ref::<SegmentHeader>(off) };
-            if hdr.rec_version.load(Ordering::Acquire) != v {
-                self.recover_segment(off);
-            }
-        }
+        self.recover_segment(s_off);
+        self.recover_segment(b_off);
         let s = self.view(s_off);
         let b = self.view(b_off);
         // Lock S then B (global order: S has the smaller pattern).
@@ -603,12 +524,15 @@ impl<K: Key> DashEh<K> {
         bh.state.store(STATE_MERGING, Ordering::Release);
         self.pool.persist(self.pool.offset_of(&bh.state), 4);
 
-        self.drain_merge(b, s)?;
-        self.finish_merge(s, b);
+        let drained = self.drain_merge(b, s);
+        if drained.is_ok() {
+            self.finish_merge(s, b);
+        }
         b.unlock_all(mode);
         s.unlock_all(mode);
+        drained?;
         self.pool.defer_free(b_off, self.geom.bytes());
-        self.merges.fetch_add(1, Ordering::Relaxed);
+        self.scheme.merges.fetch_add(1, Ordering::Relaxed);
         // Opportunistically shrink the directory (§4.7 halving).
         let _ = self.try_halve_directory();
         Ok(true)
@@ -620,7 +544,7 @@ impl<K: Key> DashEh<K> {
     /// store, exactly like doubling; loops for cascading halvings.
     fn try_halve_directory(&self) -> TableResult<()> {
         loop {
-            let _dl = self.dir_lock.lock();
+            let _dl = self.scheme.dir_lock.lock();
             let dir = self.dir_off();
             let depth = self.dir_depth(dir);
             if depth == 0 {
@@ -634,60 +558,28 @@ impl<K: Key> DashEh<K> {
             if !halvable {
                 return Ok(());
             }
-            let new_len = len / 2;
-            let dir_slot = self.pool.offset_of(&self.rootref().directory);
-            let ticket = self.pool.prepare_alloc(8 + 8 * new_len, dir_slot)?;
-            let new_dir = ticket.block;
-            // SAFETY: fresh directory block.
-            unsafe {
-                (*self.pool.at::<AtomicU64>(new_dir)).store(depth as u64 - 1, Ordering::Relaxed)
-            };
-            for i in 0..new_len {
-                let e = self.dir_entry(dir, 2 * i).load(Ordering::Acquire);
-                // SAFETY: entry i of the fresh directory.
-                unsafe {
-                    (*self.pool.at::<AtomicU64>(new_dir.add(8 + 8 * i as u64)))
-                        .store(e, Ordering::Relaxed)
-                };
-            }
-            self.pool.persist(new_dir, 8 + 8 * new_len);
-            self.pool.commit_alloc(ticket);
-            self.pool.defer_free(dir, 8 + 8 * len);
+            self.publish_directory(dir, depth - 1, |i| {
+                self.dir_entry(dir, 2 * i).load(Ordering::Acquire)
+            })?;
         }
     }
 
     /// Move every record of B into S (delete-after-insert; chain overflow
-    /// allowed so the move is total). `unique` guards recovery redo.
+    /// allowed so the move is total while the pool has room). A failed
+    /// move leaves B whole and NORMAL again. Recovery reruns this to
+    /// finish a crashed merge.
     fn drain_merge(&self, b: SegView<'_>, s: SegView<'_>) -> TableResult<()> {
-        let mut recs = Vec::new();
-        b.for_each_record(|loc, slot, k, v| recs.push((loc, slot, k, v)));
-        let redo = s.count_records() > 0;
-        for (loc, slot, key_repr, value) in recs {
-            let kh = K::hash_stored(&self.pool, key_repr);
-            if redo {
-                let mut exists = false;
-                s.for_each_record(|_, _, kr, _| {
-                    if kr == key_repr {
-                        exists = true;
-                    }
-                });
-                if exists {
-                    b.delete_at(loc, slot);
-                    continue;
-                }
-            }
-            if !s.insert_unlocked(&self.cfg, kh, key_repr, value, true)? {
-                return Err(TableError::CapacityExhausted);
-            }
-            b.delete_at(loc, slot);
-        }
-        Ok(())
+        self.move_records(b, s, |_| true).inspect_err(|_| {
+            let bh = b.header();
+            bh.state.store(STATE_NORMAL, Ordering::Release);
+            self.pool.persist(self.pool.offset_of(&bh.state), 4);
+        })
     }
 
     /// Re-point B's directory chunk at S, shrink S's depth, patch the side
     /// link chain, clear states. Idempotent for recovery.
     fn finish_merge(&self, s: SegView<'_>, b: SegView<'_>) {
-        let _dl = self.dir_lock.lock();
+        let _dl = self.scheme.dir_lock.lock();
         let dir = self.dir_off();
         let g = self.dir_depth(dir);
         let sh = s.header();
@@ -709,261 +601,22 @@ impl<K: Key> DashEh<K> {
         self.pool.persist(b.off, 64);
     }
 
-    // ---- lazy recovery (§4.8) ---------------------------------------------
-
-    /// Recover one segment before its first post-restart use: clear locks,
-    /// de-duplicate crashed displacements, rebuild overflow metadata, and
-    /// finish or roll back an in-flight SMO.
-    fn recover_segment(&self, seg: PmOffset) {
-        let v = self.pool.global_version();
-        loop {
-            let view = self.view(seg);
-            let hdr = view.header();
-            if hdr.rec_version.load(Ordering::Acquire) == v {
-                return;
-            }
-            // A NEW segment is recovered from its split source.
-            if hdr.state.load(Ordering::Acquire) == STATE_NEW {
-                let back = PmOffset::new(hdr.back_link.load(Ordering::Acquire));
-                if !back.is_null() {
-                    self.recover_segment(back);
-                    // Defensive: if the source finished its split but our
-                    // NEW flag lingers, clear it rather than defer forever.
-                    let bh = unsafe { self.pool.at_ref::<SegmentHeader>(back) };
-                    if bh.rec_version.load(Ordering::Acquire) == v
-                        && bh.state.load(Ordering::Acquire) == STATE_NORMAL
-                        && hdr.state.load(Ordering::Acquire) == STATE_NEW
-                    {
-                        hdr.state.store(STATE_NORMAL, Ordering::Release);
-                        self.pool.persist(self.pool.offset_of(&hdr.state), 4);
-                    }
-                    continue;
-                }
-            }
-            if !view.try_rec_lock(v) {
-                std::hint::spin_loop();
-                continue;
-            }
-            if hdr.rec_version.load(Ordering::Acquire) == v {
-                view.rec_unlock();
-                return;
-            }
-            if hdr.state.load(Ordering::Acquire) == STATE_NEW {
-                view.rec_unlock();
-                continue;
-            }
-
-            view.clear_all_locks();
-            view.dedup_displaced();
-            view.rebuild_overflow::<K>(&self.cfg);
-
-            match hdr.state.load(Ordering::Acquire) {
-                STATE_SPLITTING => {
-                    let n_off = PmOffset::new(hdr.side_link.load(Ordering::Acquire));
-                    let valid = !n_off.is_null() && {
-                        let nh = unsafe { self.pool.at_ref::<SegmentHeader>(n_off) };
-                        nh.back_link.load(Ordering::Acquire) == seg.get()
-                    };
-                    if valid {
-                        let n = self.view(n_off);
-                        n.clear_all_locks();
-                        n.dedup_displaced();
-                        if self.rehash_split(view, n).is_ok() {
-                            n.rebuild_overflow::<K>(&self.cfg);
-                            self.finish_split(view, n);
-                            n.stamp_version(v);
-                        }
-                    } else {
-                        // Crash before the new segment was activated: the
-                        // allocator reclaimed it; roll the split back.
-                        hdr.state.store(STATE_NORMAL, Ordering::Release);
-                        self.pool.persist(self.pool.offset_of(&hdr.state), 4);
-                    }
-                }
-                STATE_MERGING => {
-                    let s_off = PmOffset::new(hdr.back_link.load(Ordering::Acquire));
-                    if !s_off.is_null() {
-                        // Forward-complete the merge; B (this segment) is
-                        // then unreachable and freed.
-                        self.recover_segment(s_off);
-                        let s = self.view(s_off);
-                        s.lock_all(self.cfg.lock_mode);
-                        if self.drain_merge(view, s).is_ok() {
-                            self.finish_merge(s, view);
-                        }
-                        s.unlock_all(self.cfg.lock_mode);
-                        view.rec_unlock();
-                        self.pool.defer_free(seg, self.geom.bytes());
-                        return;
-                    }
-                    hdr.state.store(STATE_NORMAL, Ordering::Release);
-                    self.pool.persist(self.pool.offset_of(&hdr.state), 4);
-                }
-                _ => {}
-            }
-            view.stamp_version(v);
-            view.rec_unlock();
-            return;
-        }
-    }
-
     // ---- introspection -----------------------------------------------------
 
     /// Current directory depth (for tests and diagnostics).
     pub fn global_depth(&self) -> u32 {
         self.dir_depth(self.dir_off())
     }
-
-    /// Number of distinct segments.
-    pub fn segment_count(&self) -> usize {
-        let mut n = 0;
-        self.for_each_segment(|_| n += 1);
-        n
-    }
-
-    fn slots_total(&self) -> u64 {
-        let mut slots = 0;
-        self.for_each_segment(|seg| slots += self.view(seg).capacity_slots());
-        slots
-    }
-
-    /// Visit every record as `(key_repr, value)` (diagnostics / tests).
-    pub fn for_each(&self, mut f: impl FnMut(u64, u64)) {
-        self.for_each_segment(|seg| {
-            self.view(seg).for_each_record(|_, _, k, v| f(k, v));
-        });
-    }
-
-    // ---- cursor scans ------------------------------------------------------
-
-    /// Paged iteration with a split-stable cursor.
-    ///
-    /// The cursor is a **keyspace position**: the 64-bit hash boundary of
-    /// the next segment to visit. Under MSB directory addressing (§4.7) a
-    /// record with hash `h` always lives in the segment whose directory
-    /// entry covers `h` — a split moves records only between the two
-    /// halves of the segment's own hash range, and directory
-    /// doubling/halving renumbers entries without moving a single hash
-    /// boundary. Scanning range-by-range in hash order therefore yields
-    /// every key that stays present at least once, no matter how many
-    /// SMOs run mid-scan: ranges behind the cursor keep their keys, and
-    /// ranges ahead are visited whatever segment ends up holding them.
-    ///
-    /// Each page snapshots whole segments (version-validated, so the
-    /// page is a union of per-segment atomic states) and runs past
-    /// `budget` only to finish the current segment. The position
-    /// encodes the covering segment's local depth implicitly — it *is*
-    /// the range boundary `(pattern+1) << (64-depth)` — so a merge that
-    /// widens the segment under a resumed cursor is handled by filtering
-    /// out the already-yielded lower half (`hash < pos`).
-    pub fn scan(&self, cursor: ScanCursor, budget: usize) -> ScanPage<K> {
-        if cursor.is_done() {
-            return ScanPage::finished();
-        }
-        let budget = budget.max(1);
-        let _g = self.pool.epoch().pin();
-        let mut pos = cursor.pos();
-        let mut items: Vec<(K, u64)> = Vec::new();
-        loop {
-            let seg = self.resolve(pos);
-            let view = self.view(seg);
-            let hdr = view.header();
-            let depth = hdr.local_depth.load(Ordering::Acquire);
-            let pattern = hdr.pattern.load(Ordering::Acquire);
-            let verify = || {
-                self.locate(pos) == seg
-                    && hdr.local_depth.load(Ordering::Acquire) == depth
-                    && hdr.pattern.load(Ordering::Acquire) == pattern
-            };
-            let Some(raw) = view.snapshot_records(self.cfg.lock_mode, verify) else {
-                // The segment split or merged under us; re-resolve `pos`
-                // against the new directory state.
-                continue;
-            };
-            for (key_repr, value) in raw {
-                if K::hash_stored(&self.pool, key_repr) < pos {
-                    // Lower half of a segment merged since the cursor was
-                    // issued: already yielded from its previous generation.
-                    continue;
-                }
-                if let Some(key) = K::decode_stored(&self.pool, key_repr) {
-                    items.push((key, value));
-                }
-            }
-            // Advance past this segment's hash range.
-            if depth == 0 || pattern + 1 == (1u64 << depth) {
-                return ScanPage { items, cursor: ScanCursor::finished() };
-            }
-            pos = (pattern + 1) << (64 - depth);
-            if items.len() >= budget {
-                return ScanPage { items, cursor: ScanCursor::resume(pos) };
-            }
-        }
-    }
-}
-
-impl<K: Key> PmHashTable<K> for DashEh<K> {
-    fn get(&self, key: &K) -> Option<u64> {
-        DashEh::get(self, key)
-    }
-
-    fn insert(&self, key: &K, value: u64) -> TableResult<()> {
-        DashEh::insert(self, key, value)
-    }
-
-    fn update(&self, key: &K, value: u64) -> bool {
-        DashEh::update(self, key, value)
-    }
-
-    fn remove(&self, key: &K) -> bool {
-        DashEh::remove(self, key)
-    }
-
-    fn pin(&self) -> dash_common::Session<'_> {
-        dash_common::Session::pinned(self.pool.epoch().pin())
-    }
-
-    fn get_many(&self, keys: &[K]) -> Vec<Option<u64>> {
-        DashEh::get_many(self, keys)
-    }
-
-    fn insert_many(&self, items: &[(K, u64)]) -> Vec<TableResult<()>> {
-        DashEh::insert_many(self, items)
-    }
-
-    fn remove_many(&self, keys: &[K]) -> Vec<bool> {
-        DashEh::remove_many(self, keys)
-    }
-
-    fn for_each_kv(&self, f: &mut dyn FnMut(&K, u64)) {
-        let _g = self.pool.epoch().pin();
-        self.for_each_segment(|seg| {
-            self.view(seg).for_each_record(|_, _, key_repr, value| {
-                if let Some(key) = K::decode_stored(&self.pool, key_repr) {
-                    f(&key, value);
-                }
-            });
-        });
-    }
-
-    fn scan(&self, cursor: ScanCursor, budget: usize) -> ScanPage<K> {
-        DashEh::scan(self, cursor, budget)
-    }
-
-    fn capacity_slots(&self) -> u64 {
-        self.slots_total()
-    }
-
-    fn name(&self) -> &'static str {
-        "Dash-EH"
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dash_common::{uniform_keys, VarKey};
+    use crate::segment::SegGeom;
+    use crate::table::testing::{fill_pool, free_filler, is_pool_full, keys_where, within_deadline};
+    use dash_common::{uniform_keys, PmHashTable, VarKey};
     use pmem::PoolConfig;
+    use std::sync::Arc;
 
     fn small_cfg() -> DashConfig {
         DashConfig { bucket_bits: 2, initial_depth: 1, ..Default::default() }
@@ -1369,5 +1022,100 @@ mod tests {
         for (i, k) in keys.iter().enumerate() {
             assert_eq!(t.get(k), Some(i as u64));
         }
+    }
+
+    /// Reserve room for a split's own blocks (the doubled directory of a
+    /// depth-1 table and the new segment), fill the rest of the pool, and
+    /// release the reserve: the split starts, but its record move cannot
+    /// get a stash-chain node.
+    fn fill_all_but_split(pool: &PmemPool, t: &DashEh<u64>) -> Vec<PmOffset> {
+        let sizes = [8 + 8 * 4, t.geom.bytes()];
+        let reserve: Vec<PmOffset> = sizes.iter().map(|&n| pool.alloc(n).unwrap()).collect();
+        let filler = fill_pool(pool);
+        for (off, n) in reserve.into_iter().zip(sizes) {
+            pool.free_now(off, n);
+        }
+        filler
+    }
+
+    /// A split whose record move needs a stash-chain node that the full
+    /// pool cannot supply fails cleanly: the insert reports the pool
+    /// error and the split is rolled back, so once space is freed every
+    /// acknowledged key reads back and the insert goes through.
+    #[test]
+    fn split_into_full_pool_rolls_back() {
+        // Keys of segment 0 (top bit 0) that all move on its split (bit
+        // 62 set), in buckets 1 and 2 only: the old segment packed them
+        // with displacement, which the new segment's plain balanced
+        // inserts cannot always match. Search key ranges for one whose
+        // move spills into a chain node.
+        let geom = SegGeom::from_cfg(&small_cfg());
+        let moving = |h: u64| h >> 62 == 0b01 && matches!(geom.bucket_index(h), 1 | 2);
+        for attempt in 0..256u64 {
+            let pool = PmemPool::create(PoolConfig::with_size(4 << 20)).unwrap();
+            let t = Arc::new(DashEh::<u64>::create(pool.clone(), small_cfg()).unwrap());
+            let filler = fill_all_but_split(&pool, &t);
+            let mut acked = Vec::new();
+            for k in keys_where(attempt << 32, moving) {
+                let r = t.insert(&k, k ^ 7);
+                if t.split_count() > 0 {
+                    break; // this range split without a chain node
+                }
+                if r.is_ok() {
+                    acked.push(k);
+                    continue;
+                }
+                assert!(is_pool_full(&r), "split must report the pool error, got {r:?}");
+                free_filler(&pool, filler);
+                within_deadline(move || {
+                    for a in &acked {
+                        assert_eq!(t.get(a), Some(a ^ 7), "key {a} lost by the failed split");
+                    }
+                    t.insert(&k, k ^ 7).unwrap();
+                    assert_eq!(t.split_count(), 1);
+                    assert_eq!(t.get(&k), Some(k ^ 7));
+                });
+                return;
+            }
+        }
+        panic!("no key range forced a chain node during a split");
+    }
+
+    /// The same for a merge: draining B into S needs a chain node, so the
+    /// merge reports the pool error and is rolled back, and a later merge
+    /// goes through.
+    #[test]
+    fn merge_into_full_pool_rolls_back() {
+        let pool = PmemPool::create(PoolConfig::with_size(4 << 20)).unwrap();
+        let t = Arc::new(DashEh::<u64>::create(pool.clone(), small_cfg()).unwrap());
+        let geom = t.geom;
+        // 4 buckets' worth of bucket-0 keys fill S's bucket 0, its probing
+        // bucket and both stash buckets; B's bucket-0 keys cannot follow
+        // without a chain node.
+        let s_keys = keys_where(0, |h| h >> 63 == 0 && geom.bucket_index(h) == 0);
+        let b_keys = keys_where(0, |h| h >> 63 == 1 && geom.bucket_index(h) == 0);
+        let keys: Vec<u64> = s_keys.take(4 * crate::BUCKET_SLOTS).chain(b_keys.take(10)).collect();
+        for k in &keys {
+            t.insert(k, k ^ 7).unwrap();
+        }
+        assert_eq!((t.split_count(), t.segment_count()), (0, 2));
+        let filler = fill_pool(&pool);
+        let r = t.try_merge(t.locate(0));
+        assert!(is_pool_full(&r), "merge must report the pool error, got {r:?}");
+        assert_eq!(t.merge_count(), 0);
+        free_filler(&pool, filler);
+        within_deadline(move || {
+            for k in &keys {
+                assert_eq!(t.get(k), Some(k ^ 7), "key {k} lost by the failed merge");
+            }
+            assert!(t.try_merge(t.locate(0)).unwrap(), "the retried merge must complete");
+            assert_eq!(t.segment_count(), 1);
+            for k in &keys {
+                assert_eq!(t.get(k), Some(k ^ 7), "key {k} lost by the merge");
+            }
+            let fresh = keys_where(1 << 32, |h| geom.bucket_index(h) == 2).next().unwrap();
+            t.insert(&fresh, 1).unwrap();
+            assert_eq!(t.get(&fresh), Some(1));
+        });
     }
 }

@@ -13,20 +13,23 @@
 //! triggered whenever an insert has to allocate a chained stash bucket
 //! (§5.1) — Dash-LH never refuses an insert; overflow chains absorb the
 //! burst and the split drains them.
+//!
+//! The table protocol around these pieces is shared with Dash-EH in
+//! [`Dash`]; this module supplies the segment arrays, the (N, Next)
+//! addressing, the decoupled split and expansion, the scan cursor and the
+//! root layout.
 
-use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
-use dash_common::{Key, PmHashTable, ScanCursor, ScanPage, TableError, TableResult};
+use dash_common::{Key, ScanCursor, ScanPage, TableError, TableResult};
 use parking_lot::Mutex;
 use pmem::{PmOffset, PmemPool};
 
 use crate::config::DashConfig;
 use crate::segment::{
-    SegFind, SegGeom, SegInsert, SegMutate, SegView, SegmentHeader, LH_LEVEL_UNSET, STATE_NEW,
-    STATE_NORMAL, STATE_SPLITTING,
+    SegmentHeader, LH_LEVEL_UNSET, STATE_NEW, STATE_NORMAL, STATE_SPLITTING,
 };
+use crate::table::{Dash, Scheme};
 
 const LH_MAGIC: u64 = 0xDA58_0702_0000_0001;
 /// Directory entries; with the default geometry this addresses ~2 TB.
@@ -55,69 +58,61 @@ fn unpack_meta(m: u64) -> (u32, u32) {
 }
 
 /// Dash linear hashing over an emulated PM pool.
-pub struct DashLh<K: Key = u64> {
-    pool: Arc<PmemPool>,
-    root: PmOffset,
-    cfg: DashConfig,
-    geom: SegGeom,
+pub type DashLh<K = u64> = Dash<K, Lh>;
+
+/// The linear-hashing scheme of [`DashLh`]: its geometry and volatile
+/// state.
+pub struct Lh {
     a0: u64,
     stride: u64,
     /// Volatile lock serializing segment-array allocation.
     alloc_lock: Mutex<()>,
-    _k: PhantomData<fn(K) -> K>,
 }
 
-impl<K: Key> DashLh<K> {
-    pub fn create(pool: Arc<PmemPool>, cfg: DashConfig) -> TableResult<Self> {
-        cfg.validate().map_err(|_| TableError::Pm(pmem::PmError::InvalidConfig("dash config")))?;
+impl Scheme for Lh {
+    const NAME: &'static str = "Dash-LH";
+    const ROOT_BYTES: usize = std::mem::size_of::<LhRoot>();
+    const CHAINS: bool = true;
+    const GET_SPIN_LIMIT: u64 = 100_000;
+
+    fn new(cfg: &DashConfig) -> TableResult<Self> {
         if cfg.stash_buckets == 0 {
             return Err(TableError::Pm(pmem::PmError::InvalidConfig(
                 "Dash-LH requires at least one stash bucket (chained stash anchor)",
             )));
         }
-        let geom = SegGeom::from_cfg(&cfg);
-        let a0 = u64::from(cfg.lh_first_array);
-        let stride = u64::from(cfg.lh_stride);
-        let v = pool.global_version();
-
-        let root = pool.alloc_zeroed(std::mem::size_of::<LhRoot>())?;
-        let table = DashLh {
-            pool,
-            root,
-            cfg,
-            geom,
-            a0,
-            stride,
+        Ok(Lh {
+            a0: u64::from(cfg.lh_first_array),
+            stride: u64::from(cfg.lh_stride),
             alloc_lock: Mutex::new(()),
-            _k: PhantomData,
-        };
-        let rootref = table.rootref();
+        })
+    }
+
+    fn format<K: Key>(t: &DashLh<K>) -> TableResult<()> {
+        let (a0, stride) = (t.scheme.a0, t.scheme.stride);
+        let v = t.pool.global_version();
+        let rootref = t.rootref();
         rootref.magic.store(LH_MAGIC, Ordering::Relaxed);
-        rootref.flags.store(cfg.to_flags(), Ordering::Relaxed);
+        rootref.flags.store(t.cfg.to_flags(), Ordering::Relaxed);
         rootref.lh_params.store(a0 | (stride << 32), Ordering::Relaxed);
         rootref.meta.store(pack_meta(0, 0), Ordering::Relaxed);
-        table.pool.persist(root, std::mem::size_of::<LhRoot>());
+        t.pool.persist(t.root, std::mem::size_of::<LhRoot>());
 
         // Allocate the first segment array; its segments start live at
         // level 0.
-        table.ensure_array(0)?;
+        t.ensure_array(0)?;
         for idx in 0..a0 {
-            let seg = table.seg_offset(idx);
-            let view = table.view(seg);
+            let seg = t.seg_offset(idx);
+            let view = t.view(seg);
             view.header().lh_level.store(0, Ordering::Release);
             view.header().rec_version.store(v, Ordering::Release);
-            table.pool.persist(seg, 64);
+            t.pool.persist(seg, 64);
         }
-        table.pool.persist(root, std::mem::size_of::<LhRoot>());
-        table.pool.set_root(root);
-        Ok(table)
+        t.pool.persist(t.root, std::mem::size_of::<LhRoot>());
+        Ok(())
     }
 
-    pub fn open(pool: Arc<PmemPool>) -> TableResult<Self> {
-        let root = pool.root();
-        if root.is_null() {
-            return Err(TableError::Pm(pmem::PmError::PoolCorrupt("no root object")));
-        }
+    fn read_config(pool: &PmemPool, root: PmOffset) -> TableResult<DashConfig> {
         // SAFETY: root published by create().
         let rootref = unsafe { pool.at_ref::<LhRoot>(root) };
         if rootref.magic.load(Ordering::Relaxed) != LH_MAGIC {
@@ -125,35 +120,179 @@ impl<K: Key> DashLh<K> {
         }
         let params = rootref.lh_params.load(Ordering::Relaxed);
         let (a0, stride) = (params & 0xFFFF_FFFF, params >> 32);
-        let cfg = DashConfig::from_flags(rootref.flags.load(Ordering::Relaxed), a0 as u32, stride as u32);
-        let geom = SegGeom::from_cfg(&cfg);
-        let table =
-            DashLh { pool, root, cfg, geom, a0, stride, alloc_lock: Mutex::new(()), _k: PhantomData };
-        if table.pool.recovery_outcome().wrapped {
-            let (count, _) = table.addressable();
-            for idx in 0..count {
-                let view = table.view(table.seg_offset(idx));
-                view.header().rec_version.store(0, Ordering::Release);
+        Ok(DashConfig::from_flags(rootref.flags.load(Ordering::Relaxed), a0 as u32, stride as u32))
+    }
+
+    /// Resolve the segment for `h`, performing the lazy-recovery gate and
+    /// any pending split this access is responsible for (LHlf rule).
+    fn resolve<K: Key>(t: &DashLh<K>, h: u64) -> TableResult<(u64, PmOffset)> {
+        let mut spins = 0u64;
+        loop {
+            // Livelock guard (debug builds): resolution must converge in a
+            // handful of iterations; dump state if it does not.
+            spins += 1;
+            if cfg!(debug_assertions) && spins > 300 {
+                let (level, next) = t.meta();
+                let idx = t.seg_index(h, level, next);
+                // SAFETY: `seg_index` stays below the addressable bound,
+                // whose segment arrays exist.
+                let hdr = unsafe { t.pool.at_ref::<SegmentHeader>(t.seg_offset(idx)) };
+                panic!(
+                    "Dash-LH resolve livelock: h={h:#x} idx={idx} meta=({level},{next}) \
+                     lh_level={} state={} rec_version={} (pool v={})",
+                    hdr.lh_level.load(Ordering::Relaxed),
+                    hdr.state.load(Ordering::Relaxed),
+                    hdr.rec_version.load(Ordering::Relaxed),
+                    t.pool.global_version(),
+                );
+            }
+            let (level, next) = t.meta();
+            let idx = t.seg_index(h, level, next);
+            let seg = t.seg_offset(idx);
+            let v = t.pool.global_version();
+            // SAFETY: as above, `idx` is addressable.
+            let hdr = unsafe { t.pool.at_ref::<SegmentHeader>(seg) };
+            if hdr.rec_version.load(Ordering::Acquire) != v {
+                t.recover_segment(seg);
+                continue;
+            }
+            let lvl = hdr.lh_level.load(Ordering::Acquire);
+            let expected = t.expected_level(idx, level, next);
+            if lvl == expected {
+                return Ok((idx, seg));
+            }
+            if lvl != LH_LEVEL_UNSET && lvl > expected {
+                // The segment's level persisted but the (N, Next) advance
+                // that caused its split was lost to a crash: roll the
+                // meta word forward (splits happen strictly in Next
+                // order, so Next was at least idx+1 before the crash).
+                t.advance_meta(pack_meta(level, next), idx);
+                continue;
+            }
+            // This segment lags: perform its pending split(s) first.
+            t.perform_pending_split(idx, lvl)?;
+        }
+    }
+
+    fn still_maps<K: Key>(t: &DashLh<K>, h: u64, route: u64) -> bool {
+        let (level, next) = t.meta();
+        t.seg_index(h, level, next) == route
+    }
+
+    /// Advance `Next` (one expansion per chained-stash allocation, §5.1).
+    /// Only moves the pointer; the actual split happens on next access.
+    fn grow<K: Key>(t: &DashLh<K>, _h: u64) -> TableResult<()> {
+        loop {
+            let m = t.rootref().meta.load(Ordering::Acquire);
+            let (level, next) = unpack_meta(m);
+            // Make sure the buddy that the split of `next` will create has
+            // storage before it becomes addressable (§5.3).
+            let buddy = u64::from(next) + (t.scheme.a0 << level);
+            let (entry, _) = t.entry_of(buddy);
+            t.ensure_array(entry)?;
+            if t.advance_meta(m, u64::from(next)) {
+                return Ok(());
             }
         }
-        Ok(table)
     }
 
-    pub fn config(&self) -> &DashConfig {
-        &self.cfg
+    /// Move the records whose wider-mask index is the buddy's (LH headers
+    /// carry their segment index in `pattern`). A failed move leaves the
+    /// source whole and clears both SMO marks, so the split never
+    /// happened.
+    fn rehash_split<K: Key>(t: &DashLh<K>, s: PmOffset, b: PmOffset) -> TableResult<()> {
+        let (s, b) = (t.view(s), t.view(b));
+        let buddy_idx = b.header().pattern.load(Ordering::Acquire);
+        let shift = t.geom.seg_shift();
+        let span = buddy_idx - s.header().pattern.load(Ordering::Acquire); // a0 << level
+        let mask = 2 * span - 1;
+        t.move_records(s, b, |kh| (kh >> shift) & mask == buddy_idx & mask).inspect_err(|_| {
+            for h in [b.header(), s.header()] {
+                h.state.store(STATE_NORMAL, Ordering::Release);
+                t.pool.persist(t.pool.offset_of(&h.state), 4);
+            }
+        })
     }
 
-    pub fn pool(&self) -> &Arc<PmemPool> {
-        &self.pool
+    /// Publish the split: buddy level, source level, states. The source's
+    /// SPLITTING flag is cleared **last**, so every crash point leaves a
+    /// state the source-side recovery redo can finish from. The split
+    /// level comes from the index span — a crash may have landed after
+    /// lh_level already advanced, so the header value is not reliable.
+    fn finish_split<K: Key>(t: &DashLh<K>, s: PmOffset, b: PmOffset) {
+        let (s, b) = (t.view(s), t.view(b));
+        let sh = s.header();
+        let bh = b.header();
+        let span = bh.pattern.load(Ordering::Acquire) - sh.pattern.load(Ordering::Acquire);
+        let level = (span / t.scheme.a0).trailing_zeros();
+        bh.lh_level.store(level + 1, Ordering::Release);
+        t.pool.persist(t.pool.offset_of(&bh.lh_level), 4);
+        sh.lh_level.store(level + 1, Ordering::Release);
+        t.pool.persist(t.pool.offset_of(&sh.lh_level), 4);
+        bh.state.store(STATE_NORMAL, Ordering::Release);
+        t.pool.persist(t.pool.offset_of(&bh.state), 4);
+        sh.state.store(STATE_NORMAL, Ordering::Release);
+        t.pool.persist(t.pool.offset_of(&sh.state), 4);
     }
 
+    /// Addressable segments in index order.
+    fn for_each_segment<K: Key>(t: &DashLh<K>, mut f: impl FnMut(PmOffset)) {
+        let (count, _) = t.addressable();
+        for idx in 0..count {
+            f(t.seg_offset(idx));
+        }
+    }
+
+    /// Paged iteration with a split-stable cursor.
+    ///
+    /// The cursor is simply the **next segment index**: linear hashing
+    /// only ever moves records *forward* — a split relocates records from
+    /// segment `Next` into the buddy `Next + a0·2^N`, which at the moment
+    /// it becomes addressable is the highest index in the table — so an
+    /// index-ordered scan can never have a stable key migrate behind the
+    /// cursor. Lagging segments (whose decoupled split has not run yet)
+    /// are scanned as they are: their records, including those destined
+    /// for a buddy ahead, are present right there. The addressable bound
+    /// is re-read every step, so expansions mid-scan extend the walk.
+    ///
+    /// Pages snapshot whole segments (version-validated; the in-progress
+    /// split holds every source bucket lock, so a racing rehash forces a
+    /// clean retry) and overrun `budget` only to finish a segment.
+    fn scan<K: Key>(t: &DashLh<K>, mut idx: u64, budget: usize) -> ScanPage<K> {
+        let mut items: Vec<(K, u64)> = Vec::new();
+        loop {
+            let (count, _) = t.addressable();
+            if idx >= count {
+                return ScanPage { items, cursor: ScanCursor::finished() };
+            }
+            let seg = t.seg_offset(idx);
+            t.recover_segment(seg);
+            // The idx→segment mapping is fixed in LH, so there is no
+            // directory re-resolution to verify.
+            let Some(raw) = t.view(seg).snapshot_records(t.cfg.lock_mode, || true) else {
+                continue;
+            };
+            for (key_repr, value) in raw {
+                if let Some(key) = K::decode_stored(&t.pool, key_repr) {
+                    items.push((key, value));
+                }
+            }
+            idx += 1;
+            if items.len() >= budget {
+                let (count, _) = t.addressable();
+                if idx >= count {
+                    return ScanPage { items, cursor: ScanCursor::finished() };
+                }
+                return ScanPage { items, cursor: ScanCursor::resume(idx) };
+            }
+        }
+    }
+}
+
+impl<K: Key> DashLh<K> {
     fn rootref(&self) -> &LhRoot {
         // SAFETY: validated at create/open.
         unsafe { self.pool.at_ref::<LhRoot>(self.root) }
-    }
-
-    fn view(&self, seg: PmOffset) -> SegView<'_> {
-        SegView::new(&self.pool, seg, self.geom)
     }
 
     // ---- hybrid-expansion directory (§5.2) ------------------------------
@@ -163,11 +302,11 @@ impl<K: Key> DashLh<K> {
         let mut g = 0u32;
         let mut before = 0u64;
         loop {
-            let asize = self.a0 << g;
-            let group_total = self.stride * asize;
+            let asize = self.scheme.a0 << g;
+            let group_total = self.scheme.stride * asize;
             if idx < before + group_total {
                 let rel = idx - before;
-                return ((g as u64 * self.stride + rel / asize) as usize, rel % asize);
+                return ((g as u64 * self.scheme.stride + rel / asize) as usize, rel % asize);
             }
             before += group_total;
             g += 1;
@@ -176,14 +315,14 @@ impl<K: Key> DashLh<K> {
 
     /// Array size for a directory entry.
     fn array_len(&self, entry: usize) -> u64 {
-        self.a0 << (entry as u64 / self.stride)
+        self.scheme.a0 << (entry as u64 / self.scheme.stride)
     }
 
     /// First segment index covered by a directory entry.
     fn entry_base(&self, entry: usize) -> u64 {
-        let g = entry as u64 / self.stride;
-        let before_group = self.a0 * self.stride * ((1u64 << g) - 1);
-        before_group + (entry as u64 % self.stride) * (self.a0 << g)
+        let g = entry as u64 / self.scheme.stride;
+        let before_group = self.scheme.a0 * self.scheme.stride * ((1u64 << g) - 1);
+        before_group + (entry as u64 % self.scheme.stride) * (self.scheme.a0 << g)
     }
 
     /// Allocate (if needed) the segment array backing `entry`.
@@ -195,7 +334,7 @@ impl<K: Key> DashLh<K> {
         if rootref.dir[entry].load(Ordering::Acquire) != 0 {
             return Ok(());
         }
-        let _g = self.alloc_lock.lock();
+        let _g = self.scheme.alloc_lock.lock();
         if rootref.dir[entry].load(Ordering::Acquire) != 0 {
             return Ok(());
         }
@@ -240,7 +379,7 @@ impl<K: Key> DashLh<K> {
     /// Segment index for hash `h` under `(level, next)`.
     fn seg_index(&self, h: u64, level: u32, next: u32) -> u64 {
         let shift = self.geom.seg_shift();
-        let sn = self.a0 << level;
+        let sn = self.scheme.a0 << level;
         let mut idx = (h >> shift) & (sn - 1);
         if idx < u64::from(next) {
             idx = (h >> shift) & (2 * sn - 1);
@@ -251,7 +390,7 @@ impl<K: Key> DashLh<K> {
     /// The level a segment's records must be at for current `(level,
     /// next)` addressing to be correct.
     fn expected_level(&self, idx: u64, level: u32, next: u32) -> u32 {
-        let sn = self.a0 << level;
+        let sn = self.scheme.a0 << level;
         if idx >= sn || idx < u64::from(next) {
             level + 1
         } else {
@@ -263,75 +402,28 @@ impl<K: Key> DashLh<K> {
     /// buddies (`Next` of them).
     fn addressable(&self) -> (u64, u32) {
         let (level, next) = self.meta();
-        ((self.a0 << level) + u64::from(next), level)
+        ((self.scheme.a0 << level) + u64::from(next), level)
     }
 
-    /// Resolve the segment for `h`, performing the lazy-recovery gate and
-    /// any pending split this access is responsible for (LHlf rule).
-    fn resolve(&self, h: u64) -> TableResult<(u64, PmOffset)> {
-        let mut spins = 0u64;
-        loop {
-            // Livelock guard (debug builds): resolution must converge in a
-            // handful of iterations; dump state if it does not.
-            spins += 1;
-            if cfg!(debug_assertions) && spins > 300 {
-                let (level, next) = self.meta();
-                let idx = self.seg_index(h, level, next);
-                let hdr = unsafe { self.pool.at_ref::<SegmentHeader>(self.seg_offset(idx)) };
-                panic!(
-                    "Dash-LH resolve livelock: h={h:#x} idx={idx} meta=({level},{next}) \
-                     lh_level={} state={} rec_version={} (pool v={})",
-                    hdr.lh_level.load(Ordering::Relaxed),
-                    hdr.state.load(Ordering::Relaxed),
-                    hdr.rec_version.load(Ordering::Relaxed),
-                    self.pool.global_version(),
-                );
-            }
-            let (level, next) = self.meta();
-            let idx = self.seg_index(h, level, next);
-            let seg = self.seg_offset(idx);
-            let v = self.pool.global_version();
-            let hdr = unsafe { self.pool.at_ref::<SegmentHeader>(seg) };
-            if hdr.rec_version.load(Ordering::Acquire) != v {
-                self.recover_segment(seg);
-                continue;
-            }
-            let lvl = hdr.lh_level.load(Ordering::Acquire);
-            let expected = self.expected_level(idx, level, next);
-            if lvl == expected {
-                return Ok((idx, seg));
-            }
-            if lvl != LH_LEVEL_UNSET && lvl > expected {
-                // The segment's level persisted but the (N, Next) advance
-                // that caused its split was lost to a crash: roll the
-                // meta word forward (splits happen strictly in Next
-                // order, so Next was at least idx+1 before the crash).
-                self.roll_forward_meta(idx, level, next);
-                continue;
-            }
-            // This segment lags: perform its pending split(s) first.
-            self.perform_pending_split(idx, lvl)?;
-        }
-    }
-
-    fn roll_forward_meta(&self, idx: u64, level: u32, next: u32) {
-        let rootref = self.rootref();
-        let sn = self.a0 << level;
+    /// Move `Next` past segment `idx` (into the next round after the
+    /// last source) if the (N, Next) word still reads `cur`, and persist
+    /// it. Returns whether this call moved it.
+    fn advance_meta(&self, cur: u64, idx: u64) -> bool {
+        let (level, _) = unpack_meta(cur);
+        let sn = self.scheme.a0 << level;
         let new = if idx + 1 >= sn { pack_meta(level + 1, 0) } else { pack_meta(level, idx as u32 + 1) };
-        let cur = pack_meta(level, next);
-        if rootref
-            .meta
-            .compare_exchange(cur, new, Ordering::SeqCst, Ordering::Relaxed)
-            .is_ok()
-        {
-            self.pool.persist(self.pool.offset_of(&rootref.meta), 8);
+        let meta = &self.rootref().meta;
+        let moved = meta.compare_exchange(cur, new, Ordering::SeqCst, Ordering::Relaxed).is_ok();
+        if moved {
+            self.pool.persist(self.pool.offset_of(meta), 8);
         }
+        moved
     }
 
     /// Execute the pending split that blocks access to segment `idx`.
     fn perform_pending_split(&self, idx: u64, lvl: u32) -> TableResult<()> {
         if lvl == LH_LEVEL_UNSET {
-            if idx < self.a0 {
+            if idx < self.scheme.a0 {
                 // An initial-array segment whose level byte was lost to a
                 // crash before it was first flushed: it is a live level-0
                 // segment by construction.
@@ -341,8 +433,8 @@ impl<K: Key> DashLh<K> {
                 return Ok(());
             }
             // `idx` is a buddy that was never split into: split its source.
-            let birth = 63 - (idx / self.a0).leading_zeros(); // round that created idx
-            let src = idx - (self.a0 << birth);
+            let birth = 63 - (idx / self.scheme.a0).leading_zeros(); // round that created idx
+            let src = idx - (self.scheme.a0 << birth);
             self.split_segment(src, birth)
         } else {
             self.split_segment(idx, lvl)
@@ -353,7 +445,7 @@ impl<K: Key> DashLh<K> {
     /// thread that finds the segment lagging performs this; concurrent
     /// attempts serialize on the source's bucket locks.
     fn split_segment(&self, src_idx: u64, level: u32) -> TableResult<()> {
-        let buddy_idx = src_idx + (self.a0 << level);
+        let buddy_idx = src_idx + (self.scheme.a0 << level);
         let (buddy_entry, _) = self.entry_of(buddy_idx);
         self.ensure_array(buddy_entry)?;
 
@@ -362,11 +454,7 @@ impl<K: Key> DashLh<K> {
         // (we might be splitting a buddy's source): run its recovery gate
         // first, or we would spin on crash-persisted bucket locks. This
         // may also complete the very split we came for.
-        let v = self.pool.global_version();
-        let src_hdr = unsafe { self.pool.at_ref::<SegmentHeader>(src) };
-        if src_hdr.rec_version.load(Ordering::Acquire) != v {
-            self.recover_segment(src);
-        }
+        self.recover_segment(src);
         let s = self.view(src);
         let mode = self.cfg.lock_mode;
         s.lock_all(mode);
@@ -389,320 +477,12 @@ impl<K: Key> DashLh<K> {
         bh.state.store(STATE_NEW, Ordering::Release);
         self.pool.persist(buddy, 64);
 
-        self.rehash_lh(s, b, src_idx, buddy_idx)?;
-        self.finish_lh_split(s, b, level);
+        let moved = Lh::rehash_split(self, src, buddy);
+        if moved.is_ok() {
+            Lh::finish_split(self, src, buddy);
+        }
         s.unlock_all(mode);
-        Ok(())
-    }
-
-    /// Move records whose wider-mask index equals the buddy's; uniqueness
-    /// checked when the buddy is non-empty (recovery redo).
-    fn rehash_lh(
-        &self,
-        s: SegView<'_>,
-        b: SegView<'_>,
-        src_idx: u64,
-        buddy_idx: u64,
-    ) -> TableResult<()> {
-        let shift = self.geom.seg_shift();
-        let span = buddy_idx - src_idx; // a0 << level
-        let mask = 2 * span - 1;
-        let mut to_move = Vec::new();
-        s.for_each_record(|loc, slot, key_repr, value| {
-            let kh = K::hash_stored(&self.pool, key_repr);
-            if (kh >> shift) & mask == buddy_idx & mask {
-                to_move.push((loc, slot, key_repr, value, kh));
-            }
-        });
-        let redo = b.count_records() > 0;
-        for (loc, slot, key_repr, value, kh) in to_move {
-            if redo {
-                let mut exists = false;
-                b.for_each_record(|_, _, kr, _| {
-                    if kr == key_repr {
-                        exists = true;
-                    }
-                });
-                if exists {
-                    s.delete_at(loc, slot);
-                    continue;
-                }
-            }
-            if !b.insert_unlocked(&self.cfg, kh, key_repr, value, true)? {
-                return Err(TableError::CapacityExhausted);
-            }
-            s.delete_at(loc, slot);
-        }
-        s.rebuild_overflow::<K>(&self.cfg);
-        s.prune_chain();
-        Ok(())
-    }
-
-    /// Publish the split: buddy level, source level, states. The source's
-    /// SPLITTING flag is cleared **last**, so every crash point leaves a
-    /// state the source-side recovery redo can finish from.
-    fn finish_lh_split(&self, s: SegView<'_>, b: SegView<'_>, level: u32) {
-        let sh = s.header();
-        let bh = b.header();
-        bh.lh_level.store(level + 1, Ordering::Release);
-        self.pool.persist(self.pool.offset_of(&bh.lh_level), 4);
-        sh.lh_level.store(level + 1, Ordering::Release);
-        self.pool.persist(self.pool.offset_of(&sh.lh_level), 4);
-        bh.state.store(STATE_NORMAL, Ordering::Release);
-        self.pool.persist(self.pool.offset_of(&bh.state), 4);
-        sh.state.store(STATE_NORMAL, Ordering::Release);
-        self.pool.persist(self.pool.offset_of(&sh.state), 4);
-    }
-
-    /// Advance `Next` (one expansion per chained-stash allocation, §5.1).
-    /// Only moves the pointer; the actual split happens on next access.
-    fn trigger_expansion(&self) -> TableResult<()> {
-        let rootref = self.rootref();
-        loop {
-            let m = rootref.meta.load(Ordering::Acquire);
-            let (level, next) = unpack_meta(m);
-            let sn = self.a0 << level;
-            // Make sure the buddy that the split of `next` will create has
-            // storage before it becomes addressable (§5.3).
-            let buddy = u64::from(next) + sn;
-            let (entry, _) = self.entry_of(buddy);
-            self.ensure_array(entry)?;
-            let newm = if u64::from(next) + 1 == sn {
-                pack_meta(level + 1, 0)
-            } else {
-                pack_meta(level, next + 1)
-            };
-            if rootref
-                .meta
-                .compare_exchange(m, newm, Ordering::SeqCst, Ordering::Relaxed)
-                .is_ok()
-            {
-                self.pool.persist(self.pool.offset_of(&rootref.meta), 8);
-                return Ok(());
-            }
-        }
-    }
-
-    // ---- lazy recovery ---------------------------------------------------
-
-    fn recover_segment(&self, seg: PmOffset) {
-        let v = self.pool.global_version();
-        loop {
-            let view = self.view(seg);
-            let hdr = view.header();
-            if hdr.rec_version.load(Ordering::Acquire) == v {
-                return;
-            }
-            if hdr.state.load(Ordering::Acquire) == STATE_NEW {
-                let back = PmOffset::new(hdr.back_link.load(Ordering::Acquire));
-                if !back.is_null() {
-                    self.recover_segment(back);
-                    // If the source finished its split but our NEW flag
-                    // survived the crash, clear it so we can recover
-                    // normally instead of deferring forever.
-                    let bh = unsafe { self.pool.at_ref::<SegmentHeader>(back) };
-                    if bh.rec_version.load(Ordering::Acquire) == v
-                        && bh.state.load(Ordering::Acquire) == STATE_NORMAL
-                        && hdr.state.load(Ordering::Acquire) == STATE_NEW
-                    {
-                        hdr.state.store(STATE_NORMAL, Ordering::Release);
-                        self.pool.persist(self.pool.offset_of(&hdr.state), 4);
-                    }
-                    continue;
-                }
-            }
-            if !view.try_rec_lock(v) {
-                std::hint::spin_loop();
-                continue;
-            }
-            if hdr.rec_version.load(Ordering::Acquire) == v {
-                view.rec_unlock();
-                return;
-            }
-            if hdr.state.load(Ordering::Acquire) == STATE_NEW {
-                view.rec_unlock();
-                continue;
-            }
-
-            view.clear_all_locks();
-            view.dedup_displaced();
-            view.rebuild_overflow::<K>(&self.cfg);
-
-            if hdr.state.load(Ordering::Acquire) == STATE_SPLITTING {
-                let b_off = PmOffset::new(hdr.side_link.load(Ordering::Acquire));
-                let valid = !b_off.is_null() && {
-                    let bh = unsafe { self.pool.at_ref::<SegmentHeader>(b_off) };
-                    bh.back_link.load(Ordering::Acquire) == seg.get()
-                };
-                if valid {
-                    let b = self.view(b_off);
-                    b.clear_all_locks();
-                    b.dedup_displaced();
-                    let src_idx = hdr.pattern.load(Ordering::Acquire);
-                    let buddy_idx = b.header().pattern.load(Ordering::Acquire);
-                    // Derive the split level from the index span — the
-                    // crash may have landed after lh_level already
-                    // advanced, so the header value is not reliable here.
-                    let level = ((buddy_idx - src_idx) / self.a0).trailing_zeros();
-                    if self.rehash_lh(view, b, src_idx, buddy_idx).is_ok() {
-                        b.rebuild_overflow::<K>(&self.cfg);
-                        self.finish_lh_split(view, b, level);
-                        b.stamp_version(v);
-                    }
-                } else {
-                    hdr.state.store(STATE_NORMAL, Ordering::Release);
-                    self.pool.persist(self.pool.offset_of(&hdr.state), 4);
-                }
-            }
-            view.stamp_version(v);
-            view.rec_unlock();
-            return;
-        }
-    }
-
-    // ---- public operations ------------------------------------------------
-
-    pub fn get(&self, key: &K) -> Option<u64> {
-        let _g = self.pool.epoch().pin();
-        self.get_pinned(key)
-    }
-
-    /// `get` body without the epoch entry — the caller holds the pin
-    /// (single ops pin per call; [`DashLh::get_many`] pins per batch).
-    fn get_pinned(&self, key: &K) -> Option<u64> {
-        let h = key.hash64();
-        let mut spins = 0u64;
-        loop {
-            spins += 1;
-            if cfg!(debug_assertions) && spins > 100_000 {
-                let (idx, seg) = self.resolve(h).unwrap();
-                let view = self.view(seg);
-                let y = self.geom.bucket_index(h);
-                panic!(
-                    "Dash-LH get livelock: idx={idx} y={y} tb_lock={:#x} pb_lock={:#x}",
-                    view.bucket(y).version(),
-                    view.bucket((y + 1) & (self.geom.normal() - 1)).version(),
-                );
-            }
-            let (idx, seg) = match self.resolve(h) {
-                Ok(x) => x,
-                Err(_) => continue,
-            };
-            let verify = || {
-                let (l2, n2) = self.meta();
-                self.seg_index(h, l2, n2) == idx
-            };
-            match self.view(seg).search(&self.cfg, h, key, verify) {
-                SegFind::Found(v) => return Some(v),
-                SegFind::NotFound => return None,
-                SegFind::Retry => std::hint::spin_loop(),
-            }
-        }
-    }
-
-    pub fn insert(&self, key: &K, value: u64) -> TableResult<()> {
-        let _g = self.pool.epoch().pin();
-        self.insert_pinned(key, value)
-    }
-
-    fn insert_pinned(&self, key: &K, value: u64) -> TableResult<()> {
-        let h = key.hash64();
-        let key_repr = key.encode(&self.pool)?;
-        loop {
-            let (idx, seg) = self.resolve(h)?;
-            let verify = || {
-                let (l2, n2) = self.meta();
-                self.seg_index(h, l2, n2) == idx
-            };
-            match self.view(seg).insert(&self.cfg, h, key, key_repr, value, true, verify)? {
-                SegInsert::Inserted { chained } => {
-                    if chained {
-                        // A stash bucket had to be allocated: grow (§5.1).
-                        self.trigger_expansion()?;
-                    }
-                    return Ok(());
-                }
-                SegInsert::Duplicate => {
-                    if !K::INLINE {
-                        K::release(&self.pool, key_repr);
-                    }
-                    return Err(TableError::Duplicate);
-                }
-                SegInsert::Retry => continue,
-                SegInsert::NeedSplit => unreachable!("Dash-LH chains instead of splitting"),
-            }
-        }
-    }
-
-    pub fn update(&self, key: &K, value: u64) -> bool {
-        let h = key.hash64();
-        let _g = self.pool.epoch().pin();
-        loop {
-            let (idx, seg) = match self.resolve(h) {
-                Ok(x) => x,
-                Err(_) => continue,
-            };
-            let verify = || {
-                let (l2, n2) = self.meta();
-                self.seg_index(h, l2, n2) == idx
-            };
-            match self.view(seg).update(&self.cfg, h, key, value, verify) {
-                SegMutate::Done(_) => return true,
-                SegMutate::NotFound => return false,
-                SegMutate::Retry => std::hint::spin_loop(),
-            }
-        }
-    }
-
-    pub fn remove(&self, key: &K) -> bool {
-        let _g = self.pool.epoch().pin();
-        self.remove_pinned(key)
-    }
-
-    fn remove_pinned(&self, key: &K) -> bool {
-        let h = key.hash64();
-        loop {
-            let (idx, seg) = match self.resolve(h) {
-                Ok(x) => x,
-                Err(_) => continue,
-            };
-            let verify = || {
-                let (l2, n2) = self.meta();
-                self.seg_index(h, l2, n2) == idx
-            };
-            match self.view(seg).remove(&self.cfg, h, key, verify) {
-                SegMutate::Done(repr) => {
-                    if !K::INLINE {
-                        K::release(&self.pool, repr);
-                    }
-                    return true;
-                }
-                SegMutate::NotFound => return false,
-                SegMutate::Retry => std::hint::spin_loop(),
-            }
-        }
-    }
-
-    // ---- batched operations (§4.5: one epoch entry per batch) ------------
-
-    /// Batched lookup: enter the epoch once, then run the
-    /// fingerprint-probe loop per key. Results are in key order.
-    pub fn get_many(&self, keys: &[K]) -> Vec<Option<u64>> {
-        let _g = self.pool.epoch().pin();
-        keys.iter().map(|k| self.get_pinned(k)).collect()
-    }
-
-    /// Batched insert under one epoch entry; one result per item, in
-    /// order (hybrid expansions triggered mid-batch run under the pin).
-    pub fn insert_many(&self, items: &[(K, u64)]) -> Vec<TableResult<()>> {
-        let _g = self.pool.epoch().pin();
-        items.iter().map(|(k, v)| self.insert_pinned(k, *v)).collect()
-    }
-
-    /// Batched remove under one epoch entry; one `bool` per key, in order.
-    pub fn remove_many(&self, keys: &[K]) -> Vec<bool> {
-        let _g = self.pool.epoch().pin();
-        keys.iter().map(|k| self.remove_pinned(k)).collect()
+        moved
     }
 
     // ---- introspection ------------------------------------------------------
@@ -712,144 +492,15 @@ impl<K: Key> DashLh<K> {
         self.meta()
     }
 
-    pub fn segment_count(&self) -> u64 {
-        self.addressable().0
-    }
-
-    fn slots_total(&self) -> u64 {
-        let (count, _) = self.addressable();
-        (0..count).map(|idx| self.view(self.seg_offset(idx)).capacity_slots()).sum()
-    }
-
-    pub fn for_each(&self, mut f: impl FnMut(u64, u64)) {
-        let (count, _) = self.addressable();
-        for idx in 0..count {
-            self.view(self.seg_offset(idx)).for_each_record(|_, _, k, v| f(k, v));
-        }
-    }
-
-    // ---- cursor scans ------------------------------------------------------
-
-    /// Paged iteration with a split-stable cursor.
-    ///
-    /// The cursor is simply the **next segment index**: linear hashing
-    /// only ever moves records *forward* — a split relocates records from
-    /// segment `Next` into the buddy `Next + a0·2^N`, which at the moment
-    /// it becomes addressable is the highest index in the table — so an
-    /// index-ordered scan can never have a stable key migrate behind the
-    /// cursor. Lagging segments (whose decoupled split has not run yet)
-    /// are scanned as they are: their records, including those destined
-    /// for a buddy ahead, are present right there. The addressable bound
-    /// is re-read every step, so expansions mid-scan extend the walk.
-    ///
-    /// Pages snapshot whole segments (version-validated; the in-progress
-    /// split holds every source bucket lock, so a racing rehash forces a
-    /// clean retry) and overrun `budget` only to finish a segment.
-    pub fn scan(&self, cursor: ScanCursor, budget: usize) -> ScanPage<K> {
-        if cursor.is_done() {
-            return ScanPage::finished();
-        }
-        let budget = budget.max(1);
-        let _g = self.pool.epoch().pin();
-        let mut idx = cursor.pos();
-        let mut items: Vec<(K, u64)> = Vec::new();
-        loop {
-            let (count, _) = self.addressable();
-            if idx >= count {
-                return ScanPage { items, cursor: ScanCursor::finished() };
-            }
-            let seg = self.seg_offset(idx);
-            let v = self.pool.global_version();
-            let hdr = unsafe { self.pool.at_ref::<SegmentHeader>(seg) };
-            if hdr.rec_version.load(Ordering::Acquire) != v {
-                self.recover_segment(seg);
-                continue;
-            }
-            // The idx→segment mapping is fixed in LH, so there is no
-            // directory re-resolution to verify.
-            let Some(raw) = self.view(seg).snapshot_records(self.cfg.lock_mode, || true) else {
-                continue;
-            };
-            for (key_repr, value) in raw {
-                if let Some(key) = K::decode_stored(&self.pool, key_repr) {
-                    items.push((key, value));
-                }
-            }
-            idx += 1;
-            if items.len() >= budget {
-                let (count, _) = self.addressable();
-                if idx >= count {
-                    return ScanPage { items, cursor: ScanCursor::finished() };
-                }
-                return ScanPage { items, cursor: ScanCursor::resume(idx) };
-            }
-        }
-    }
-}
-
-impl<K: Key> PmHashTable<K> for DashLh<K> {
-    fn get(&self, key: &K) -> Option<u64> {
-        DashLh::get(self, key)
-    }
-
-    fn insert(&self, key: &K, value: u64) -> TableResult<()> {
-        DashLh::insert(self, key, value)
-    }
-
-    fn update(&self, key: &K, value: u64) -> bool {
-        DashLh::update(self, key, value)
-    }
-
-    fn remove(&self, key: &K) -> bool {
-        DashLh::remove(self, key)
-    }
-
-    fn pin(&self) -> dash_common::Session<'_> {
-        dash_common::Session::pinned(self.pool.epoch().pin())
-    }
-
-    fn get_many(&self, keys: &[K]) -> Vec<Option<u64>> {
-        DashLh::get_many(self, keys)
-    }
-
-    fn insert_many(&self, items: &[(K, u64)]) -> Vec<TableResult<()>> {
-        DashLh::insert_many(self, items)
-    }
-
-    fn remove_many(&self, keys: &[K]) -> Vec<bool> {
-        DashLh::remove_many(self, keys)
-    }
-
-    fn for_each_kv(&self, f: &mut dyn FnMut(&K, u64)) {
-        let _g = self.pool.epoch().pin();
-        let (count, _) = self.addressable();
-        for idx in 0..count {
-            self.view(self.seg_offset(idx)).for_each_record(|_, _, key_repr, value| {
-                if let Some(key) = K::decode_stored(&self.pool, key_repr) {
-                    f(&key, value);
-                }
-            });
-        }
-    }
-
-    fn scan(&self, cursor: ScanCursor, budget: usize) -> ScanPage<K> {
-        DashLh::scan(self, cursor, budget)
-    }
-
-    fn capacity_slots(&self) -> u64 {
-        self.slots_total()
-    }
-
-    fn name(&self) -> &'static str {
-        "Dash-LH"
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dash_common::{negative_keys, uniform_keys, VarKey};
+    use crate::table::testing::{fill_pool, free_filler, is_pool_full, keys_where, within_deadline};
+    use dash_common::{negative_keys, uniform_keys, PmHashTable, VarKey};
     use pmem::PoolConfig;
+    use std::sync::Arc;
 
     fn small_cfg() -> DashConfig {
         DashConfig { bucket_bits: 2, lh_first_array: 2, lh_stride: 2, ..Default::default() }
@@ -935,7 +586,7 @@ mod tests {
             #[test]
             fn seg_index_bounds(h: u64, level in 0u32..6, next in 0u32..64) {
                 let t = new_table(16, small_cfg());
-                let sn = t.a0 << level;
+                let sn = t.scheme.a0 << level;
                 let next = next % (sn as u32).max(1);
                 let idx = t.seg_index(h, level, next);
                 prop_assert!(idx < sn + u64::from(next), "idx {} out of bounds", idx);
@@ -1137,6 +788,77 @@ mod tests {
         }
         let lf = t.load_factor();
         assert!(lf > 0.3, "load factor {lf}");
+    }
+
+    /// A decoupled split whose move into the buddy needs a stash-chain
+    /// node that the full pool cannot supply fails cleanly: the insert
+    /// that ran it reports the pool error, the split is rolled back, and
+    /// once space is freed every acknowledged key reads back and the
+    /// insert goes through.
+    #[test]
+    fn split_into_full_pool_rolls_back() {
+        let pool = PmemPool::create(PoolConfig::with_size(4 << 20)).unwrap();
+        let t = Arc::new(DashLh::<u64>::create(pool.clone(), small_cfg()).unwrap());
+        let geom = t.geom;
+        // Bucket-0 keys of segment 0 that move to its buddy 2: four
+        // buckets' worth fill bucket 0, its probing bucket and the stash,
+        // the next one chains (advancing Next past segment 0), and the
+        // split's move needs a chain node in the buddy as well.
+        let moving = |h: u64| (h >> geom.seg_shift()) & 3 == 2 && geom.bucket_index(h) == 0;
+        let keys: Vec<u64> = keys_where(0, moving).take(4 * crate::BUCKET_SLOTS + 2).collect();
+        let (acked, rest) = keys.split_at(keys.len() - 1);
+        for k in acked {
+            t.insert(k, k ^ 7).unwrap();
+        }
+        assert_eq!(t.level_and_next(), (0, 1), "the chained insert must advance Next");
+        let filler = fill_pool(&pool);
+        let last = rest[0];
+        let r = t.insert(&last, last ^ 7);
+        assert!(is_pool_full(&r), "split must report the pool error, got {r:?}");
+        free_filler(&pool, filler);
+        let acked = acked.to_vec();
+        within_deadline(move || {
+            for k in &acked {
+                assert_eq!(t.get(k), Some(k ^ 7), "key {k} lost by the failed split");
+            }
+            t.insert(&last, last ^ 7).unwrap();
+            assert_eq!(t.get(&last), Some(last ^ 7));
+        });
+    }
+
+    /// An insert that must chain a stash node the full pool cannot supply
+    /// reports the pool error and releases its bucket locks, so the
+    /// segment stays usable once space is freed.
+    #[test]
+    fn chained_insert_into_full_pool_releases_locks() {
+        let pool = PmemPool::create(PoolConfig::with_size(4 << 20)).unwrap();
+        let t = Arc::new(DashLh::<u64>::create(pool.clone(), small_cfg()).unwrap());
+        let geom = t.geom;
+        // Four buckets' worth of bucket-0 keys of segment 0 fill bucket 0,
+        // its probing bucket and the stash; the next one needs a chain node.
+        let bucket0 = |h: u64| (h >> geom.seg_shift()) & 1 == 0 && geom.bucket_index(h) == 0;
+        let keys: Vec<u64> = keys_where(0, bucket0).take(4 * crate::BUCKET_SLOTS + 1).collect();
+        let (acked, rest) = keys.split_at(keys.len() - 1);
+        for k in acked {
+            t.insert(k, k ^ 7).unwrap();
+        }
+        assert_eq!(t.level_and_next(), (0, 0), "nothing has chained yet");
+        // Keep room for the segment array the eventual expansion needs.
+        let array = pool.alloc(2 * geom.bytes()).unwrap();
+        let filler = fill_pool(&pool);
+        pool.free_now(array, 2 * geom.bytes());
+        let last = rest[0];
+        let r = t.insert(&last, last ^ 7);
+        assert!(is_pool_full(&r), "chaining must report the pool error, got {r:?}");
+        free_filler(&pool, filler);
+        let acked = acked.to_vec();
+        within_deadline(move || {
+            for k in &acked {
+                assert_eq!(t.get(k), Some(k ^ 7), "key {k} lost");
+            }
+            t.insert(&last, last ^ 7).unwrap();
+            assert_eq!(t.get(&last), Some(last ^ 7));
+        });
     }
 
     mod geometry_props {

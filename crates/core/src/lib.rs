@@ -19,8 +19,9 @@
 //!
 //! Two dynamic hashing schemes are built on these blocks:
 //! [`DashEh`] (extendible hashing, §4) and [`DashLh`] (linear hashing with
-//! hybrid expansion, §5). Both are generic over the key mode: inline
-//! `u64` or pooled variable-length [`dash_common::VarKey`]s.
+//! hybrid expansion, §5), each a scheme of the one generic table [`Dash`]
+//! that holds the protocol they share. Both are generic over the key mode:
+//! inline `u64` or pooled variable-length [`dash_common::VarKey`]s.
 //!
 //! ```
 //! use dash_core::{DashConfig, DashEh};
@@ -39,10 +40,12 @@ mod eh;
 pub mod experiments;
 mod lh;
 mod segment;
+mod table;
 
 pub use config::{DashConfig, InsertPolicy, LockMode};
 pub use eh::DashEh;
 pub use lh::DashLh;
+pub use table::Dash;
 
 /// Record slots per 256-byte bucket (fig. 4).
 pub use bucket::SLOTS as BUCKET_SLOTS;

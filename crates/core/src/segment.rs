@@ -355,9 +355,12 @@ impl<'a> SegView<'a> {
 
         // 3. Stashing.
         if cfg.insert_policy >= InsertPolicy::Stash && self.geom.stash > 0 {
-            if let Some(res) = self.stash_insert(cfg, y, p, key_repr, value, fp, allow_chain)? {
-                unlock(self);
-                return Ok(res);
+            match self.stash_insert(cfg, y, p, key_repr, value, fp, allow_chain) {
+                Ok(None) => {}
+                stashed => {
+                    unlock(self);
+                    return stashed.map(|res| res.expect("stashed"));
+                }
             }
         }
 
@@ -454,12 +457,9 @@ impl<'a> SegView<'a> {
                 .is_some()
             {
                 self.writer_unlock(sb, mode);
-                if cfg.overflow_metadata
-                    && !self.bucket(y).ovf_try_set(fp, j, false)
-                        && !self.bucket(p).ovf_try_set(fp, j, true)
-                    {
-                        self.bucket(y).ovf_count_inc();
-                    }
+                if cfg.overflow_metadata {
+                    self.ovf_register(fp, j, y, p);
+                }
                 return Ok(Some(SegInsert::Inserted { chained: false }));
             }
             self.writer_unlock(sb, mode);
@@ -478,27 +478,9 @@ impl<'a> SegView<'a> {
         loop {
             let next = PmOffset::new(link.load(Ordering::Acquire));
             if next.is_null() {
-                // Append a new node (crash-safe allocate–activate with the
-                // link word as owner slot).
-                let ticket = self.pool.prepare_alloc(STASH_NODE_SIZE, link_off)?;
-                let node_off = ticket.block;
-                self.pool.zero(node_off, STASH_NODE_SIZE);
-                self.pool.flush(node_off, STASH_NODE_SIZE);
-                self.pool.fence();
-                self.pool.commit_alloc(ticket);
-                let node = self.node(node_off);
-                node.bucket
-                    .insert_record(
-                        self.pool,
-                        node_off.add(64),
-                        key_repr,
-                        value,
-                        fp,
-                        false,
-                        use_fp,
-                    )
-                    .expect("fresh node has room");
+                let appended = self.append_node(link_off, key_repr, value, fp, use_fp);
                 self.writer_unlock(link_holder, mode);
+                appended?;
                 if cfg.overflow_metadata {
                     self.bucket(y).ovf_count_inc();
                 }
@@ -521,6 +503,40 @@ impl<'a> SegView<'a> {
             link_holder = &node.bucket;
             link = &node.next;
             link_off = next; // `next` field is at node offset 0
+        }
+    }
+
+    /// Append a chain node holding one record behind the link word at
+    /// `link_off` (crash-safe allocate–activate with the link word as
+    /// owner slot). Fails, leaving the chain as it was, when the pool
+    /// cannot supply the node.
+    fn append_node(
+        &self,
+        link_off: PmOffset,
+        key_repr: u64,
+        value: u64,
+        fp: u8,
+        use_fp: bool,
+    ) -> TableResult<()> {
+        let ticket = self.pool.prepare_alloc(STASH_NODE_SIZE, link_off)?;
+        let node_off = ticket.block;
+        self.pool.zero(node_off, STASH_NODE_SIZE);
+        self.pool.flush(node_off, STASH_NODE_SIZE);
+        self.pool.fence();
+        self.pool.commit_alloc(ticket);
+        self.node(node_off)
+            .bucket
+            .insert_record(self.pool, node_off.add(64), key_repr, value, fp, false, use_fp)
+            .expect("fresh node has room");
+        Ok(())
+    }
+
+    /// Register a record in fixed stash bucket `j` with the overflow
+    /// metadata of its target `y` or probing bucket `p`, falling back to
+    /// the target's overflow counter (§4.3).
+    fn ovf_register(&self, fp: u8, j: usize, y: usize, p: usize) {
+        if !self.bucket(y).ovf_try_set(fp, j, false) && !self.bucket(p).ovf_try_set(fp, j, true) {
+            self.bucket(y).ovf_count_inc();
         }
     }
 
@@ -939,11 +955,8 @@ impl<'a> SegView<'a> {
                     .insert_record(self.pool, self.stash_off(j), key_repr, value, fp, false, use_fp)
                     .is_some()
                 {
-                    if cfg.overflow_metadata
-                        && !tb.ovf_try_set(fp, j, false)
-                        && !pb.ovf_try_set(fp, j, true)
-                    {
-                        tb.ovf_count_inc();
+                    if cfg.overflow_metadata {
+                        self.ovf_register(fp, j, y, p);
                     }
                     return Ok(true);
                 }
@@ -954,16 +967,7 @@ impl<'a> SegView<'a> {
                 loop {
                     let next = PmOffset::new(link.load(Ordering::Acquire));
                     if next.is_null() {
-                        let ticket = self.pool.prepare_alloc(STASH_NODE_SIZE, link_off)?;
-                        let node_off = ticket.block;
-                        self.pool.zero(node_off, STASH_NODE_SIZE);
-                        self.pool.flush(node_off, STASH_NODE_SIZE);
-                        self.pool.fence();
-                        self.pool.commit_alloc(ticket);
-                        self.node(node_off)
-                            .bucket
-                            .insert_record(self.pool, node_off.add(64), key_repr, value, fp, false, use_fp)
-                            .expect("fresh node");
+                        self.append_node(link_off, key_repr, value, fp, use_fp)?;
                         if cfg.overflow_metadata {
                             tb.ovf_count_inc();
                         }
@@ -1188,37 +1192,23 @@ impl<'a> SegView<'a> {
         }
         let n = self.geom.normal();
         let mut fixed: Vec<(usize, u64)> = Vec::new();
-        let mut chained = 0u64;
+        let mut chained: Vec<u64> = Vec::new();
         self.for_each_record(|loc, _, key_repr, _| match loc {
             RecLoc::Stash(j) => fixed.push((j, key_repr)),
-            RecLoc::Chain(_) => chained += 1,
+            RecLoc::Chain(_) => chained.push(key_repr),
             RecLoc::Normal(_) => {}
         });
         for (j, key_repr) in fixed {
             let h = K::hash_stored(self.pool, key_repr);
             let fp = h as u8;
             let y = self.geom.bucket_index(h);
-            let p = (y + 1) & (n - 1);
-            if !self.bucket(y).ovf_try_set(fp, j, false)
-                && !self.bucket(p).ovf_try_set(fp, j, true)
-            {
-                self.bucket(y).ovf_count_inc();
-            }
+            self.ovf_register(fp, j, y, (y + 1) & (n - 1));
         }
         // Chained records are not addressable by the 2-bit stash index:
         // account them via counters so searches scan the chain.
-        let mut cur = PmOffset::new(self.header().stash_chain.load(Ordering::Acquire));
-        while !cur.is_null() {
-            let node = self.node(cur);
-            let mut alloc = node.bucket.alloc_mask();
-            while alloc != 0 {
-                let slot = alloc.trailing_zeros() as usize;
-                alloc &= alloc - 1;
-                let (k, _) = node.bucket.record(slot);
-                let h = K::hash_stored(self.pool, k);
-                self.bucket(self.geom.bucket_index(h)).ovf_count_inc();
-            }
-            cur = PmOffset::new(node.next.load(Ordering::Acquire));
+        for key_repr in chained {
+            let h = K::hash_stored(self.pool, key_repr);
+            self.bucket(self.geom.bucket_index(h)).ovf_count_inc();
         }
     }
 

@@ -18,7 +18,7 @@ use std::time::Instant;
 ///   stops scaling — exactly the fig. 1/8 phenomenon.
 ///
 /// The constants below are derived from the device characteristics the
-/// paper cites ([21], [63]): ~300 ns random read latency, ~100 ns
+/// paper cites (\[21\], \[63\]): ~300 ns random read latency, ~100 ns
 /// store+flush cost, ~8× / ~14× lower random read / write bandwidth than
 /// DRAM. They are deliberately expressed per *event* at the block
 /// granularity the tables meter (256 B, DCPMM's internal block size).

@@ -4,7 +4,7 @@
 //! The keyspace is partitioned into [`slots::NUM_SLOTS`] hash slots
 //! (CRC16 of the key or its `{hash tag}` — [`slots`]). Each process
 //! owns a set of slots recorded in a persistent, versioned slot map
-//! ([`map`]); a request for a slot this node does not own is answered
+//! (`map`); a request for a slot this node does not own is answered
 //! with `-MOVED <slot> <host:port>` (stable ownership — the client
 //! should update its cache) or `-ASK <slot> <host:port>` (one-shot,
 //! mid-migration — the client retries at the target with `ASKING`
@@ -31,13 +31,13 @@
 //!   current owner. This is what keeps a half-imported range invisible:
 //!   ordinary clients cannot read a partially-transferred slot.
 //!
-//! Only *ownership* is persistent (see [`map`]); every migration phase
+//! Only *ownership* is persistent (see `map`); every migration phase
 //! is volatile. A node that dies mid-migration restarts as the
 //! unambiguous owner of everything it owned before the flip.
 //!
 //! ## Migration (`CLUSTER MIGRATE <start> <end> <host:port>`)
 //!
-//! Runs on a background thread ([`migrate`]) using the same
+//! Runs on a background thread (`migrate`) using the same
 //! snapshot+tail cut as `PSYNC` and the same fencing as promotion:
 //! subscribe to the op stream (the cut), bulk-copy the range via the
 //! epoch-pinned scan, replay the concurrent-write tail, then freeze the

@@ -17,7 +17,7 @@
 //! (0 = no expiry) that is immutable per blob — `EXPIRE`/`PERSIST`
 //! rewrite the blob, so lock-free readers never observe a torn
 //! deadline — plus a u32 access word the sampled LRU/LFU eviction
-//! scores candidates by ([`policy`]).
+//! scores candidates by (`policy`).
 
 pub(crate) mod policy;
 pub(crate) mod wheel;

@@ -35,7 +35,7 @@
 //!
 //! The writer issues one unbuffered `write` per record: the bytes are in
 //! the kernel page cache when `append` returns, so a process kill (the
-//! failure mode the service recovers from) loses nothing; [`sync`]
+//! failure mode the service recovers from) loses nothing; [`sync`](LogWriter::sync)
 //! (called from the engine's clean close) makes the file durable against
 //! power loss too.
 

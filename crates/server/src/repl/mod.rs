@@ -15,7 +15,7 @@
 //! * [`hub`] — the in-memory fan-out: every applied mutation is
 //!   published as a [`ReplOp`] with a store-wide monotonic offset;
 //!   replica-serving connections subscribe and stream the tail.
-//! * [`replica`] — the follower: connects to the primary, bootstraps
+//! * `replica` — the follower: connects to the primary, bootstraps
 //!   from an epoch-pinned `SNAPSHOT`-format stream pinned at a log
 //!   offset (`PSYNC` → `+FULLRESYNC <offset>`), then applies the tail
 //!   through the engine's batch write API until promoted.

@@ -1,6 +1,6 @@
 //! The networked service: an **event-driven** TCP server speaking a
 //! RESP2 subset over a [`ShardedDash`] engine. The commands are the rows
-//! of the command table (`command.rs`); [`execute`] dispatches on the
+//! of the command table (`command.rs`); `execute` dispatches on the
 //! row the connection resolved.
 //!
 //! `SCAN cursor [COUNT n]` pages through the keyspace with the Redis
@@ -29,7 +29,7 @@
 //! too: an eventfd wakes every loop, replacing the throwaway
 //! self-connect that used to unblock `accept`. The one place a
 //! connection still owns a blocking socket and a dedicated thread is
-//! the `PSYNC` replication stream ([`serve_replica_stream`]), which
+//! the `PSYNC` replication stream (`serve_replica_stream`), which
 //! genuinely does.
 //!
 //! This file owns the protocol surface (command dispatch, INFO,
@@ -83,7 +83,7 @@ pub struct ServeOptions {
     /// threads. `None` disables the endpoint.
     pub metrics_addr: Option<String>,
     /// SLOWLOG threshold in microseconds; commands at or above it are
-    /// recorded. `None` = [`DEFAULT_SLOWLOG_THRESHOLD_US`].
+    /// recorded. `None` = `DEFAULT_SLOWLOG_THRESHOLD_US`.
     pub slowlog_threshold_us: Option<u64>,
     /// Enable cluster mode, announcing this `host:port` to peers and
     /// clients (what redirects and the slot map record for this node).

@@ -33,7 +33,7 @@
 //! corrupted snapshot is rejected with a clean error instead of
 //! partially restored. They hold the whole record set in memory, which
 //! is the right trade-off at the sizes this store targets per snapshot
-//! (values are capped at [`MAX_VALUE_LEN`](crate::MAX_VALUE_LEN) and the
+//! (values are capped at [`MAX_VALUE_LEN`] and the
 //! source pools are bounded); a streaming two-pass verify can replace it
 //! if pools grow.
 

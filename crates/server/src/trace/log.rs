@@ -91,8 +91,10 @@ pub fn enabled(level: Level) -> bool {
     level as u8 <= MAX_LEVEL.load(Ordering::Relaxed)
 }
 
-/// Emit one JSON line. Prefer the [`error!`]/[`warn!`]/[`info!`]/
-/// [`debug!`] macros, which skip formatting when the level is off.
+/// Emit one JSON line. Prefer the [`log_error!`](crate::log_error!),
+/// [`log_warn!`](crate::log_warn!), [`log_info!`](crate::log_info!) and
+/// [`log_debug!`](crate::log_debug!) macros, which skip formatting when
+/// the level is off.
 pub fn log(level: Level, target: &str, msg: &str) {
     if !enabled(level) {
         return;

@@ -4,7 +4,8 @@
 //! the subset of proptest the workspace's property tests use is
 //! reimplemented here:
 //!
-//! * the [`Strategy`] trait with `prop_map`, ranges, tuples, [`Just`],
+//! * the [`Strategy`](strategy::Strategy) trait with `prop_map`, ranges,
+//!   tuples, [`Just`](strategy::Just),
 //!   `any::<T>()` and weighted unions ([`prop_oneof!`]);
 //! * [`collection::vec`] and [`collection::btree_map`];
 //! * the [`proptest!`] test macro with `#![proptest_config(..)]` support,
