@@ -163,6 +163,12 @@ pub struct ShardInfo {
     pub clean: bool,
     /// The pool's global recovery version after open.
     pub version: u8,
+    /// Bytes the redo-log open cut off a torn or corrupt tail (with
+    /// `log_reset`, the whole old active file).
+    pub log_truncated_bytes: u64,
+    /// The redo log's active file had an unusable header and was reset
+    /// to empty: log replay no longer covers this shard's history.
+    pub log_reset: bool,
 }
 
 /// One shard's point-in-time telemetry (see
@@ -266,6 +272,37 @@ struct Shard {
 }
 
 impl Shard {
+    fn new(
+        pool: Arc<PmemPool>,
+        table: DashEh<VarKey>,
+        info: ShardInfo,
+        log: Option<LogWriter>,
+        hub: &Arc<ReplHub>,
+        slots: &Arc<SlotCounters>,
+        now: u64,
+    ) -> Shard {
+        Shard {
+            pool,
+            table,
+            write_lock: Mutex::new(()),
+            // Recovered shards defer their base count to the first
+            // DBSIZE/INFO; fresh ones are known empty.
+            base_keys: if info.recovered { OnceLock::new() } else { OnceLock::from(0) },
+            keys_delta: AtomicI64::new(0),
+            info,
+            log: log.map(Mutex::new),
+            hub: hub.clone(),
+            log_errors: AtomicU64::new(0),
+            blob_written: AtomicU64::new(0),
+            blob_released: AtomicU64::new(0),
+            lock_waits: AtomicU64::new(0),
+            pins: AtomicU64::new(0),
+            slots: slots.clone(),
+            wheel: TimerWheel::new(now),
+            sample_pos: AtomicU64::new(0),
+        }
+    }
+
     /// Current key count: exact when quiescent, momentarily approximate
     /// while writers race the first scan.
     fn key_count(&self) -> u64 {
@@ -592,11 +629,48 @@ fn discover_shards(dir: &Path) -> EngineResult<usize> {
     Ok(indices.len())
 }
 
+/// One shard's parts as [`open_shard`] recovered them.
+struct OpenedShard {
+    pool: Arc<PmemPool>,
+    table: DashEh<VarKey>,
+    info: ShardInfo,
+    log: LogWriter,
+    log_records: u64,
+}
+
+/// Open (or create) shard `i` of the store in `dir`: its pool, which runs
+/// Dash's constant-work recovery, its table, and its redo log, whose
+/// open scans the log files once and truncates a torn tail.
+fn open_shard(dir: &Path, i: usize, cfg: &EngineConfig) -> EngineResult<OpenedShard> {
+    let pool_cfg = PoolConfig::with_size(cfg.shard_bytes);
+    let (pool, recovered) = PmemPool::open_or_create_file(&shard_file(dir, i), pool_cfg)?;
+    let table = if recovered {
+        DashEh::open(pool.clone())?
+    } else {
+        DashEh::create(pool.clone(), DashConfig::default())?
+    };
+    let out = pool.recovery_outcome();
+    let path = log_file(dir, i);
+    let (log, rec) = LogWriter::open(&path, i as u32, cfg.repl_log_max_bytes)
+        .map_err(|e| EngineError::ReplLog(format!("{}: {e}", path.display())))?;
+    let info = ShardInfo {
+        recovered,
+        clean: out.clean,
+        version: out.version,
+        log_truncated_bytes: rec.truncated_bytes,
+        log_reset: rec.reset,
+    };
+    Ok(OpenedShard { pool, table, info, log, log_records: rec.records })
+}
+
 impl ShardedDash {
     /// Open the store in `cfg.dir`, creating it (with `cfg.shards`
     /// shards) when no shard files exist yet, otherwise reattaching to
-    /// every `shard-N.pool` found — each pool runs Dash's constant-work
-    /// recovery, so open time is independent of the data volume.
+    /// every `shard-N.pool` found. Each shard opens on its own thread.
+    /// Table recovery is Dash's constant-work recovery, independent of
+    /// the data volume; the redo-log open scans each shard's log files
+    /// (sealed segments included) once, so open time grows linearly
+    /// with log bytes.
     pub fn open(cfg: &EngineConfig) -> EngineResult<Self> {
         if cfg.shards == 0 {
             return Err(EngineError::Layout("shard count must be at least 1".into()));
@@ -611,24 +685,14 @@ impl ShardedDash {
                 for _ in 0..cfg.shards {
                     let pool = PmemPool::create(PoolConfig::with_size(cfg.shard_bytes))?;
                     let table = DashEh::create(pool.clone(), DashConfig::default())?;
-                    shards.push(Shard {
-                        pool,
-                        table,
-                        write_lock: Mutex::new(()),
-                        base_keys: OnceLock::from(0),
-                        keys_delta: AtomicI64::new(0),
-                        info: ShardInfo { recovered: false, clean: true, version: 1 },
-                        log: None,
-                        hub: hub.clone(),
-                        log_errors: AtomicU64::new(0),
-                        blob_written: AtomicU64::new(0),
-                        blob_released: AtomicU64::new(0),
-                        lock_waits: AtomicU64::new(0),
-                        pins: AtomicU64::new(0),
-                        slots: slots.clone(),
-                        wheel: TimerWheel::new(now),
-                        sample_pos: AtomicU64::new(0),
-                    });
+                    let info = ShardInfo {
+                        recovered: false,
+                        clean: true,
+                        version: 1,
+                        log_truncated_bytes: 0,
+                        log_reset: false,
+                    };
+                    shards.push(Shard::new(pool, table, info, None, &hub, &slots, now));
                 }
             }
             Some(dir) => {
@@ -638,51 +702,26 @@ impl ShardedDash {
                 // partition function baked into the data must not change.
                 let existing = discover_shards(dir)?;
                 let n = if existing > 0 { existing } else { cfg.shards };
+                // Shards share nothing on disk, so they open side by
+                // side; results are taken in shard order, so the error
+                // reported is the lowest-indexed shard's.
+                let opened: Vec<EngineResult<OpenedShard>> = std::thread::scope(|s| {
+                    let handles: Vec<_> =
+                        (0..n).map(|i| s.spawn(move || open_shard(dir, i, cfg))).collect();
+                    handles
+                        .into_iter()
+                        .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                        .collect()
+                });
                 let mut log_records = 0u64;
-                for i in 0..n {
-                    let path = shard_file(dir, i);
-                    shard_paths.push(path.clone());
-                    let pool_cfg = PoolConfig::with_size(cfg.shard_bytes);
-                    let (pool, recovered) = PmemPool::open_or_create_file(&path, pool_cfg)?;
-                    let table = if recovered {
-                        DashEh::open(pool.clone())?
-                    } else {
-                        DashEh::create(pool.clone(), DashConfig::default())?
-                    };
-                    let out = pool.recovery_outcome();
-                    // The shard's redo log opens alongside its pool:
-                    // torn tails truncate here, and the recovered record
-                    // count seeds the store-wide replication offset.
-                    let (log, log_rec) =
-                        LogWriter::open(&log_file(dir, i), i as u32, cfg.repl_log_max_bytes)
-                            .map_err(|e| {
-                                EngineError::ReplLog(format!(
-                                    "{}: {e}",
-                                    log_file(dir, i).display()
-                                ))
-                            })?;
-                    log_records += log_rec.records;
-                    // Recovered shards defer their base count to the
-                    // first DBSIZE/INFO; fresh ones are known empty.
-                    let base_keys = if recovered { OnceLock::new() } else { OnceLock::from(0) };
-                    shards.push(Shard {
-                        pool,
-                        table,
-                        write_lock: Mutex::new(()),
-                        base_keys,
-                        keys_delta: AtomicI64::new(0),
-                        info: ShardInfo { recovered, clean: out.clean, version: out.version },
-                        log: Some(Mutex::new(log)),
-                        hub: hub.clone(),
-                        log_errors: AtomicU64::new(0),
-                        blob_written: AtomicU64::new(0),
-                        blob_released: AtomicU64::new(0),
-                        lock_waits: AtomicU64::new(0),
-                        pins: AtomicU64::new(0),
-                        slots: slots.clone(),
-                        wheel: TimerWheel::new(now),
-                        sample_pos: AtomicU64::new(0),
-                    });
+                for (i, opened) in opened.into_iter().enumerate() {
+                    let o = opened?;
+                    // The recovered record counts seed the store-wide
+                    // replication offset.
+                    log_records += o.log_records;
+                    shard_paths.push(shard_file(dir, i));
+                    let log = Some(o.log);
+                    shards.push(Shard::new(o.pool, o.table, o.info, log, &hub, &slots, now));
                 }
                 hub.set_offset(log_records);
             }

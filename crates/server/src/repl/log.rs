@@ -13,7 +13,8 @@
 //!
 //! **Rotation** (`--repl-log-max-bytes`): when the active file crosses
 //! the size cap it is sealed — renamed to `repl-N.seg{K}.log` with a
-//! monotonically increasing K — and a fresh active file starts. Sealed
+//! monotonically increasing K — and a fresh active file, staged with
+//! its header as `repl-N.next.log`, is renamed into place. Sealed
 //! segments are immutable; reopen discovers them in K order and counts
 //! their records so the store-wide replication offset stays continuous,
 //! and [`read_log_chain`] replays segments-then-active as one stream. A
@@ -25,15 +26,21 @@
 //! There is no trailer: the log is meant to be appended to forever and
 //! read back after any kind of crash, so each record carries its own
 //! checksum and the valid prefix is whatever parses. On reopen
-//! ([`LogWriter::open`]) the file is scanned once; the first record that
-//! is truncated, oversized, structurally invalid or checksum-mismatched
-//! ends the valid prefix, and the file is **truncated back to it** — a
-//! torn tail from a crash mid-append disappears instead of poisoning
-//! later appends, and a corrupt record can never be replayed into state.
-//! A corrupt *header* resets the whole log (the pools remain the
-//! authoritative store state; the log is the replication/backup feed).
+//! ([`LogWriter::open`]) every file (sealed segments to count their
+//! records, the active file to find its valid prefix) streams once
+//! through one fixed read buffer, and each record is validated in place
+//! by the same checks replay uses — no copy of the file and no
+//! allocation per record, so reopen costs one checksum pass per log
+//! byte. The first record that is truncated, oversized, structurally
+//! invalid or checksum-mismatched ends the valid prefix, and the active
+//! file is **truncated back to it** — a torn tail from a crash
+//! mid-append disappears instead of poisoning later appends, and a
+//! corrupt record can never be replayed into state. A corrupt *header*
+//! resets the whole log (the pools remain the authoritative store
+//! state; the log is the replication/backup feed).
 //!
-//! The writer issues one unbuffered `write` per record: the bytes are in
+//! The writer encodes into one reused buffer and issues one unbuffered
+//! `write` per record: the bytes are in
 //! the kernel page cache when `append` returns, so a process kill (the
 //! failure mode the service recovers from) loses nothing; [`sync`](LogWriter::sync)
 //! (called from the engine's clean close) makes the file durable against
@@ -46,7 +53,7 @@ use std::path::{Path, PathBuf};
 use dash_common::MAX_KEY_LEN;
 
 use crate::engine::MAX_VALUE_LEN;
-use crate::repl::wire::{fnv64, FileHeader, Fnv, Parser};
+use crate::repl::wire::{fnv64, FileHeader, Parser};
 use crate::repl::ReplOp;
 
 /// `b"DASHLOG1"` as a little-endian u64.
@@ -83,78 +90,153 @@ pub fn encode_record(op: &ReplOp, out: &mut Vec<u8>) {
     out.extend_from_slice(&checksum.to_le_bytes());
 }
 
-/// Decode the record starting at `p`'s position. `Ok(None)` means the
-/// bytes from here on are not a valid record (torn tail / corruption) —
-/// the caller must treat everything from `p.pos()` as garbage.
-fn decode_record(p: &mut Parser<'_>) -> Option<ReplOp> {
-    let start = p.pos();
-    let body_len = p.u32("record length").ok()? as usize;
-    if !(1 + 4..=MAX_BODY).contains(&body_len) {
-        return None;
+/// Bytes the open-time scan reads at a time. The scan buffer grows past
+/// this only to hold a single record longer than one chunk (at most
+/// `MAX_BODY + 12` bytes).
+const SCAN_CHUNK: usize = 1 << 20;
+
+/// Total length (prefix, body, checksum) of the record whose 4-byte
+/// length prefix is `prefix`, or `None` when the claimed body length is
+/// out of bounds — so a corrupt length can never demand a huge read.
+fn record_len(prefix: [u8; 4]) -> Option<usize> {
+    let body_len = u32::from_le_bytes(prefix) as usize;
+    (1 + 4..=MAX_BODY).contains(&body_len).then_some(4 + body_len + 8)
+}
+
+/// One intact record, borrowed from the bytes it was framed in.
+#[derive(Debug, Clone, Copy)]
+enum Frame<'a> {
+    Set { key: &'a [u8], value: &'a [u8] },
+    SetEx { key: &'a [u8], value: &'a [u8], expire_at_ms: u64 },
+    Del { key: &'a [u8] },
+}
+
+impl Frame<'_> {
+    fn to_op(self) -> ReplOp {
+        match self {
+            Frame::Set { key, value } => ReplOp::Set { key: key.to_vec(), value: value.to_vec() },
+            Frame::SetEx { key, value, expire_at_ms } => {
+                ReplOp::SetEx { key: key.to_vec(), value: value.to_vec(), expire_at_ms }
+            }
+            Frame::Del { key } => ReplOp::Del { key: key.to_vec() },
+        }
     }
-    let body = p.take(body_len, "record body").ok()?;
-    let checksum = p.u64("record checksum").ok()?;
+}
+
+/// The one record validator: frame the record at the start of `buf` and
+/// return it with its total length. `None` means `buf` does not start
+/// with a complete, valid record (torn tail or corruption) — length
+/// bounds, checksum, tag, key length, value length and a DEL carrying a
+/// value are all checked here and nowhere else.
+fn frame_record(buf: &[u8]) -> Option<(Frame<'_>, usize)> {
+    let len = record_len(buf.get(..4)?.try_into().ok()?)?;
+    let (framed, checksum) = buf.get(..len)?.split_at(len - 8);
     // The checksum covers the length prefix too, so a corrupted length
     // cannot masquerade as a differently-framed valid record.
-    let mut fnv = Fnv::new();
-    fnv.update(&(body_len as u32).to_le_bytes());
-    fnv.update(body);
-    if fnv.value() != checksum {
+    if fnv64(framed) != u64::from_le_bytes(checksum.try_into().ok()?) {
         return None;
     }
+    let body = &framed[4..];
     let mut b = Parser::new(body);
     let tag = b.u8("op tag").ok()?;
     let key_len = b.u32("key length").ok()? as usize;
     if key_len > MAX_KEY_LEN {
         return None;
     }
-    let key = b.take(key_len, "key bytes").ok()?.to_vec();
-    let op = match tag {
-        OP_SET => {
-            let value = body[5 + key_len..].to_vec();
-            if value.len() > MAX_VALUE_LEN {
-                return None;
-            }
-            ReplOp::Set { key, value }
-        }
+    let key = b.take(key_len, "key bytes").ok()?;
+    let frame = match tag {
+        OP_SET => Frame::Set { key, value: &body[b.pos()..] },
         OP_SET_EX => {
             let expire_at_ms = b.u64("expire deadline").ok()?;
-            let value = body[5 + key_len + 8..].to_vec();
-            if value.len() > MAX_VALUE_LEN {
-                return None;
-            }
-            ReplOp::SetEx { key, value, expire_at_ms }
+            Frame::SetEx { key, value: &body[b.pos()..], expire_at_ms }
         }
-        OP_DEL => {
-            if b.remaining() != 0 {
-                return None;
-            }
-            ReplOp::Del { key }
-        }
+        OP_DEL if b.remaining() == 0 => Frame::Del { key },
         _ => return None,
     };
-    debug_assert!(p.pos() > start);
-    Some(op)
+    match frame {
+        Frame::Set { value, .. } | Frame::SetEx { value, .. } if value.len() > MAX_VALUE_LEN => {
+            None
+        }
+        _ => Some((frame, len)),
+    }
 }
 
-/// Parse a whole log buffer: the header's shard index, the records of
-/// the valid prefix, and the byte length of that prefix (header
-/// included). `Err` only when the header itself is unusable.
-fn parse(buf: &[u8]) -> Result<(u32, Vec<ReplOp>, usize), String> {
-    let mut p = Parser::new(buf);
-    let shard = FileHeader::read(&mut p, LOG_MAGIC, LOG_VERSION, "repl log")?;
-    let mut ops = Vec::new();
-    let mut valid_len = p.pos();
-    while p.remaining() > 0 {
-        match decode_record(&mut p) {
-            Some(op) => {
-                ops.push(op);
-                valid_len = p.pos();
-            }
-            None => break,
+/// What [`scan`] found in one log file.
+struct Scan {
+    /// The header's shard index.
+    shard: u32,
+    /// Intact records in the valid prefix.
+    records: u64,
+    /// Byte length of the valid prefix, header included.
+    valid_len: u64,
+}
+
+/// Read from `file` into `buf[end..]` until `buf` is full or the file
+/// ends; returns the new fill level.
+fn fill(file: &mut File, buf: &mut [u8], mut end: usize) -> io::Result<usize> {
+    while end < buf.len() {
+        match file.read(&mut buf[end..]) {
+            Ok(0) => break,
+            Ok(n) => end += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
         }
     }
-    Ok((shard, ops, valid_len))
+    Ok(end)
+}
+
+/// Stream the log in `file` (positioned at its start) through `buf`:
+/// validate the header, then frame records until the first one that is
+/// torn or invalid, handing each intact record to `each`. `buf`'s
+/// length is the read size; it grows only to hold one record longer
+/// than that, so a scan allocates nothing per record. The outer error
+/// is an I/O failure, the inner one an unusable header.
+fn scan(
+    file: &mut File,
+    buf: &mut Vec<u8>,
+    mut each: impl FnMut(Frame<'_>),
+) -> io::Result<Result<Scan, String>> {
+    if buf.len() < FileHeader::LEN {
+        buf.resize(FileHeader::LEN, 0);
+    }
+    let mut end = fill(file, buf, 0)?;
+    let mut p = Parser::new(&buf[..end]);
+    let shard = match FileHeader::read(&mut p, LOG_MAGIC, LOG_VERSION, "repl log") {
+        Ok(shard) => shard,
+        Err(e) => return Ok(Err(e)),
+    };
+    let (mut start, mut base, mut records) = (p.pos(), 0u64, 0u64);
+    loop {
+        if let Some((frame, len)) = frame_record(&buf[start..end]) {
+            each(frame);
+            records += 1;
+            start += len;
+            continue;
+        }
+        // No valid record here yet. Read on only when the bytes so far
+        // could still be the start of one that is merely cut off by the
+        // end of the buffer; otherwise the valid prefix ends here.
+        let need = match buf.get(start..start + 4) {
+            Some(prefix) => match record_len(prefix.try_into().unwrap()) {
+                Some(need) => need,
+                None => break,
+            },
+            None => 4,
+        };
+        let at_eof = end < buf.len();
+        if end - start >= need || at_eof {
+            break;
+        }
+        buf.copy_within(start..end, 0);
+        base += start as u64;
+        end -= start;
+        start = 0;
+        if buf.len() < need {
+            buf.resize(need, 0);
+        }
+        end = fill(file, buf, end)?;
+    }
+    Ok(Ok(Scan { shard, records, valid_len: base + start as u64 }))
 }
 
 /// What [`LogWriter::open`] found on disk.
@@ -174,15 +256,14 @@ pub struct LogRecovery {
 /// Read every intact record of a single log file. Rejects an unusable
 /// header as an error; a torn tail simply ends the record list.
 pub fn read_log(path: &Path) -> io::Result<(Vec<ReplOp>, LogRecovery)> {
-    let mut buf = Vec::new();
-    File::open(path)?.read_to_end(&mut buf)?;
-    let (_shard, ops, valid_len) =
-        parse(&buf).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-    let recovery = LogRecovery {
-        records: ops.len() as u64,
-        truncated_bytes: (buf.len() - valid_len) as u64,
-        reset: false,
-    };
+    let mut file = File::open(path)?;
+    let len = file.metadata()?.len();
+    let mut ops = Vec::new();
+    let scan = scan(&mut file, &mut vec![0; SCAN_CHUNK], |f| ops.push(f.to_op()))?
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+    // Saturating: another process may truncate the file mid-read.
+    let truncated_bytes = len.saturating_sub(scan.valid_len);
+    let recovery = LogRecovery { records: scan.records, truncated_bytes, reset: false };
     Ok((ops, recovery))
 }
 
@@ -209,6 +290,13 @@ pub fn read_log_chain(path: &Path) -> io::Result<(Vec<ReplOp>, LogRecovery)> {
 fn segment_path(path: &Path, seq: u64) -> PathBuf {
     let stem = path.file_stem().unwrap_or_default().to_string_lossy();
     path.with_file_name(format!("{stem}.seg{seq}.log"))
+}
+
+/// Where [`LogWriter::rotate`] stages the next active file:
+/// `repl-N.log` → `repl-N.next.log` (not a segment name).
+fn staging_path(path: &Path) -> PathBuf {
+    let stem = path.file_stem().unwrap_or_default().to_string_lossy();
+    path.with_file_name(format!("{stem}.next.log"))
 }
 
 /// Sealed segments for the active log at `path`, sorted by sequence
@@ -253,6 +341,12 @@ pub struct LogWriter {
     /// Active file length (header + valid records + appends) — kept
     /// here so observing log growth never pays a stat() per scrape.
     bytes: u64,
+    /// Reused record encode buffer: an append allocates nothing.
+    enc: Vec<u8>,
+}
+
+fn log_header(shard: u32) -> [u8; FileHeader::LEN] {
+    FileHeader { magic: LOG_MAGIC, version: LOG_VERSION, meta: shard }.encode()
 }
 
 impl LogWriter {
@@ -260,19 +354,24 @@ impl LogWriter {
     /// active file is scanned, its torn tail truncated, and appends
     /// continue from the end of the valid prefix; sealed segments are
     /// discovered and their records counted into the recovery total.
+    /// Every file streams through one scan buffer: the cost is one
+    /// validation pass per log byte and no allocation per record.
     pub fn open(
         path: &Path,
         shard: u32,
         max_bytes: Option<u64>,
     ) -> io::Result<(LogWriter, LogRecovery)> {
+        let mut buf = vec![0u8; SCAN_CHUNK];
         let mut seg_records = 0u64;
         let mut segment_bytes = 0u64;
         let mut next_seq = 0u64;
         for (seq, seg) in segment_files(path)? {
             // An unreadable segment contributes nothing to the offset;
             // its sequence number is still reserved.
-            if let Ok((ops, _)) = read_log(&seg) {
-                seg_records += ops.len() as u64;
+            if let Ok(mut f) = File::open(&seg) {
+                if let Ok(Ok(s)) = scan(&mut f, &mut buf, |_| ()) {
+                    seg_records += s.records;
+                }
             }
             segment_bytes += std::fs::metadata(&seg).map(|m| m.len()).unwrap_or(0);
             next_seq = next_seq.max(seq + 1);
@@ -280,8 +379,7 @@ impl LogWriter {
         // truncate(false): an existing log is recovered, not clobbered.
         let mut file =
             OpenOptions::new().read(true).write(true).create(true).truncate(false).open(path)?;
-        let mut buf = Vec::new();
-        file.read_to_end(&mut buf)?;
+        let len = file.metadata()?.len();
         let base = |file: File, active: u64, bytes: u64| LogWriter {
             file,
             path: path.to_path_buf(),
@@ -292,78 +390,79 @@ impl LogWriter {
             active_records: active,
             segment_bytes,
             bytes,
+            enc: Vec::new(),
         };
-        if buf.is_empty() {
-            let header = FileHeader { magic: LOG_MAGIC, version: LOG_VERSION, meta: shard };
-            let header = header.encode();
+        if len == 0 {
+            let header = log_header(shard);
             file.write_all(&header)?;
             let recovery =
                 LogRecovery { records: seg_records, truncated_bytes: 0, reset: false };
             return Ok((base(file, 0, header.len() as u64), recovery));
         }
-        match parse(&buf) {
+        match scan(&mut file, &mut buf, |_| ())? {
             // The header's shard index is outside any record checksum;
             // a mismatch (corruption, or a file moved between shard
             // slots) makes the whole log untrustworthy → reset.
-            Ok((got_shard, _, _)) if got_shard != shard => {
-                Self::reset(base(file, 0, 0), buf.len())
-            }
-            Ok((_, ops, valid_len)) => {
-                if valid_len < buf.len() {
-                    file.set_len(valid_len as u64)?;
+            Ok(s) if s.shard != shard => Self::reset(base(file, 0, 0), len),
+            Ok(s) => {
+                if s.valid_len < len {
+                    file.set_len(s.valid_len)?;
                 }
-                file.seek(SeekFrom::Start(valid_len as u64))?;
+                file.seek(SeekFrom::Start(s.valid_len))?;
                 let recovery = LogRecovery {
-                    records: seg_records + ops.len() as u64,
-                    truncated_bytes: (buf.len() - valid_len) as u64,
+                    records: seg_records + s.records,
+                    truncated_bytes: len - s.valid_len,
                     reset: false,
                 };
-                Ok((base(file, ops.len() as u64, valid_len as u64), recovery))
+                Ok((base(file, s.records, s.valid_len), recovery))
             }
             // Unusable header: the active log cannot be trusted at all.
             // Reset it rather than refuse to open the store — the pools
             // hold the authoritative state.
-            Err(_) => Self::reset(base(file, 0, 0), buf.len()),
+            Err(_) => Self::reset(base(file, 0, 0), len),
         }
     }
 
-    fn reset(mut w: LogWriter, old_len: usize) -> io::Result<(LogWriter, LogRecovery)> {
+    fn reset(mut w: LogWriter, old_len: u64) -> io::Result<(LogWriter, LogRecovery)> {
         w.file.set_len(0)?;
         w.file.seek(SeekFrom::Start(0))?;
-        let header = FileHeader { magic: LOG_MAGIC, version: LOG_VERSION, meta: w.shard };
-        let header = header.encode();
+        let header = log_header(w.shard);
         w.file.write_all(&header)?;
         w.bytes = header.len() as u64;
-        let recovery = LogRecovery {
-            records: w.records,
-            truncated_bytes: old_len as u64,
-            reset: true,
-        };
+        let recovery = LogRecovery { records: w.records, truncated_bytes: old_len, reset: true };
         Ok((w, recovery))
     }
 
     /// Seal the active file: rename it to the next `segN` name and start
-    /// a fresh active file. On failure the active file keeps growing and
-    /// the next append retries.
+    /// a fresh active file. The fresh file is staged with its header
+    /// under a temporary name first, so any failure leaves the active
+    /// file and every sealed segment as they were: appends keep landing
+    /// in the active file and the next append retries.
     fn rotate(&mut self) -> io::Result<()> {
         let seg = segment_path(&self.path, self.next_seq);
-        std::fs::rename(&self.path, &seg)?;
-        let mut fresh = match OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create_new(true)
-            .open(&self.path)
-        {
-            Ok(f) => f,
-            Err(e) => {
-                // Undo so appends keep landing in a discoverable file.
+        let staged = staging_path(&self.path);
+        let header = log_header(self.shard);
+        let swap = || -> io::Result<File> {
+            // truncate(true): a staged file left by a crash mid-rotation
+            // is never referenced by anything and is simply reused.
+            let mut fresh = OpenOptions::new()
+                .read(true)
+                .write(true)
+                .create(true)
+                .truncate(true)
+                .open(&staged)?;
+            fresh.write_all(&header)?;
+            std::fs::rename(&self.path, &seg)?;
+            if let Err(e) = std::fs::rename(&staged, &self.path) {
+                // Undo the seal so appends keep landing in the active file.
                 let _ = std::fs::rename(&seg, &self.path);
                 return Err(e);
             }
+            Ok(fresh)
         };
-        let header =
-            FileHeader { magic: LOG_MAGIC, version: LOG_VERSION, meta: self.shard }.encode();
-        fresh.write_all(&header)?;
+        let fresh = swap().inspect_err(|_| {
+            let _ = std::fs::remove_file(&staged);
+        })?;
         self.file = fresh;
         self.next_seq += 1;
         self.segment_bytes += self.bytes;
@@ -392,12 +491,12 @@ impl LogWriter {
                 let _ = self.rotate();
             }
         }
-        let mut rec = Vec::with_capacity(64);
-        encode_record(op, &mut rec);
-        self.file.write_all(&rec)?;
+        self.enc.clear();
+        encode_record(op, &mut self.enc);
+        self.file.write_all(&self.enc)?;
         self.records += 1;
         self.active_records += 1;
-        self.bytes += rec.len() as u64;
+        self.bytes += self.enc.len() as u64;
         Ok(())
     }
 
@@ -690,5 +789,221 @@ mod tests {
         assert_eq!(read.len(), 1, "only the post-snapshot op remains in the log");
         assert_eq!(read[0].key(), b"post");
         assert_eq!(w.records(), 41, "the offset counter never rewinds on truncation");
+    }
+
+    /// The whole-buffer reference the streaming scan must agree with:
+    /// frame records back to back over the file held in memory. Returns
+    /// the intact ops and the valid prefix length, `None` for an
+    /// unusable header.
+    fn frame_whole(buf: &[u8]) -> Option<(Vec<ReplOp>, usize)> {
+        let mut p = Parser::new(buf);
+        FileHeader::read(&mut p, LOG_MAGIC, LOG_VERSION, "repl log").ok()?;
+        let (mut ops, mut at) = (Vec::new(), p.pos());
+        while let Some((frame, len)) = frame_record(&buf[at..]) {
+            ops.push(frame.to_op());
+            at += len;
+        }
+        Some((ops, at))
+    }
+
+    /// Scan the file at `path` with a `chunk`-byte read buffer.
+    fn scan_ops(path: &Path, chunk: usize) -> (Vec<ReplOp>, u64) {
+        let mut ops = Vec::new();
+        let mut file = File::open(path).unwrap();
+        let s = scan(&mut file, &mut vec![0; chunk], |f| ops.push(f.to_op())).unwrap().unwrap();
+        assert_eq!(s.records, ops.len() as u64);
+        (ops, s.valid_len)
+    }
+
+    fn encode_log(ops: &[ReplOp]) -> Vec<u8> {
+        let mut bytes = log_header(0).to_vec();
+        for op in ops {
+            encode_record(op, &mut bytes);
+        }
+        bytes
+    }
+
+    fn write_log(path: &Path, ops: &[ReplOp]) -> Vec<u8> {
+        let bytes = encode_log(ops);
+        std::fs::write(path, &bytes).unwrap();
+        bytes
+    }
+
+    mod props {
+        use super::*;
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+
+        fn op_strategy() -> impl Strategy<Value = ReplOp> {
+            (0u8..3, vec(any::<u8>(), 0..24), vec(any::<u8>(), 0..200), any::<u64>()).prop_map(
+                |(kind, key, value, expire_at_ms)| match kind {
+                    0 => ReplOp::Set { key, value },
+                    1 => ReplOp::SetEx { key, value, expire_at_ms },
+                    _ => ReplOp::Del { key },
+                },
+            )
+        }
+
+        proptest! {
+            /// A random record stream with a random cut or one flipped
+            /// byte: the writer's open, the replay reader and a scan
+            /// with a tiny read buffer all agree with the whole-buffer
+            /// reference on the records and the bytes cut off.
+            #[test]
+            fn streaming_scan_matches_the_whole_buffer_reference(
+                ops in vec(op_strategy(), 1..40),
+                flip in any::<bool>(),
+                at in any::<u64>(),
+                bit in 0u8..8,
+                chunk in 1usize..64,
+            ) {
+                let p = TempPath::new("prop-scan");
+                let mut bytes = write_log(&p.0, &ops);
+                // Mutate record bytes only: header damage is a reset,
+                // covered byte by byte in the test above.
+                let span = (bytes.len() - FileHeader::LEN) as u64;
+                if flip {
+                    bytes[FileHeader::LEN + (at % span) as usize] ^= 1 << bit;
+                } else {
+                    bytes.truncate(FileHeader::LEN + (at % (span + 1)) as usize);
+                }
+                std::fs::write(&p.0, &bytes).unwrap();
+                let (want, valid_len) = frame_whole(&bytes).unwrap();
+                let cut = (bytes.len() - valid_len) as u64;
+                prop_assert_eq!(&want[..], &ops[..want.len()]);
+
+                let (read, rec) = read_log(&p.0).unwrap();
+                prop_assert_eq!(&read, &want);
+                prop_assert_eq!(rec.truncated_bytes, cut);
+                prop_assert_eq!(scan_ops(&p.0, chunk), (want.clone(), valid_len as u64));
+
+                let (w, rec) = LogWriter::open(&p.0, 0, None).unwrap();
+                prop_assert_eq!(rec, LogRecovery {
+                    records: want.len() as u64,
+                    truncated_bytes: cut,
+                    reset: false,
+                });
+                prop_assert_eq!(w.records(), want.len() as u64);
+                drop(w);
+                prop_assert_eq!(std::fs::metadata(&p.0).unwrap().len(), valid_len as u64);
+            }
+        }
+    }
+
+    #[test]
+    fn a_record_straddling_the_chunk_boundary_is_read_whole() {
+        let p = TempPath::new("straddle");
+        // Header (16) + a first record ending 10 bytes short of the
+        // chunk, so the second record starts in the first chunk and
+        // ends in the next one.
+        let first = SCAN_CHUNK - FileHeader::LEN - 10 - (4 + 1 + 4 + 1 + 8);
+        let ops = vec![
+            ReplOp::Set { key: b"a".to_vec(), value: vec![7; first] },
+            ReplOp::SetEx { key: b"straddler".to_vec(), value: vec![9; 100], expire_at_ms: 5 },
+            ReplOp::Del { key: b"a".to_vec() },
+        ];
+        let bytes = write_log(&p.0, &ops);
+        let second_at = FileHeader::LEN + (4 + 1 + 4 + 1 + first + 8);
+        assert_eq!(second_at, SCAN_CHUNK - 10);
+        let (w, rec) = LogWriter::open(&p.0, 0, None).unwrap();
+        assert_eq!(rec, LogRecovery { records: 3, truncated_bytes: 0, reset: false });
+        drop(w);
+        assert_eq!(read_log(&p.0).unwrap().0, ops);
+        // Torn inside the straddling record: only the first survives.
+        std::fs::write(&p.0, &bytes[..SCAN_CHUNK + 20]).unwrap();
+        let (_, rec) = LogWriter::open(&p.0, 0, None).unwrap();
+        assert_eq!(rec.records, 1);
+        assert_eq!(rec.truncated_bytes, (SCAN_CHUNK + 20 - second_at) as u64);
+        assert_eq!(std::fs::metadata(&p.0).unwrap().len(), second_at as u64);
+    }
+
+    #[test]
+    fn a_max_size_record_larger_than_a_chunk_is_read_whole() {
+        let p = TempPath::new("max-record");
+        let big = ReplOp::SetEx {
+            key: vec![b'k'; MAX_KEY_LEN],
+            value: vec![0xab; MAX_VALUE_LEN],
+            expire_at_ms: u64::MAX,
+        };
+        let mut rec = Vec::new();
+        encode_record(&big, &mut rec);
+        assert_eq!(rec.len(), MAX_BODY + 12, "the largest legal record");
+        assert!(rec.len() > SCAN_CHUNK);
+        let ops = vec![
+            ReplOp::Set { key: b"before".to_vec(), value: b"x".to_vec() },
+            big,
+            ReplOp::Set { key: b"after".to_vec(), value: b"y".to_vec() },
+        ];
+        let bytes = write_log(&p.0, &ops);
+        assert_eq!(scan_ops(&p.0, SCAN_CHUNK).0, ops);
+        let (w, rec) = LogWriter::open(&p.0, 0, None).unwrap();
+        assert_eq!(rec, LogRecovery { records: 3, truncated_bytes: 0, reset: false });
+        drop(w);
+        assert_eq!(read_log(&p.0).unwrap().0, ops);
+        // Torn inside the big record: the scan reads to the end of the
+        // file and still ends the prefix before it.
+        std::fs::write(&p.0, &bytes[..bytes.len() - 100]).unwrap();
+        let (_, rec) = LogWriter::open(&p.0, 0, None).unwrap();
+        assert_eq!(rec.records, 1);
+    }
+
+    #[test]
+    fn appends_through_the_reused_encode_buffer_write_the_same_bytes() {
+        let p = TempPath::new("enc-reuse");
+        let mut ops = sample_ops(30);
+        // A large record first leaves a large buffer behind; the short
+        // records after it must still be written at their own length.
+        ops.insert(10, ReplOp::Set { key: b"big".to_vec(), value: vec![1; 200_000] });
+        let (mut w, _) = LogWriter::open(&p.0, 0, None).unwrap();
+        for op in &ops {
+            w.append(op).unwrap();
+        }
+        drop(w);
+        assert_eq!(std::fs::read(&p.0).unwrap(), encode_log(&ops), "bytes unchanged");
+    }
+
+    #[test]
+    fn a_failed_rotation_leaves_every_file_intact_and_appends_continue() {
+        let p = TempPath::new("rotate-fail");
+        let ops = sample_ops(120);
+        let (mut w, _) = LogWriter::open(&p.0, 0, Some(256)).unwrap();
+        for op in &ops[..40] {
+            w.append(op).unwrap();
+        }
+        let sealed: Vec<(PathBuf, Vec<u8>)> = segment_files(&p.0)
+            .unwrap()
+            .into_iter()
+            .map(|(_, s)| {
+                let bytes = std::fs::read(&s).unwrap();
+                (s, bytes)
+            })
+            .collect();
+        assert!(!sealed.is_empty());
+        // A directory where the next active file is staged makes every
+        // rotation fail before anything on disk is renamed.
+        let staged = staging_path(&p.0);
+        std::fs::create_dir(&staged).unwrap();
+        let active = std::fs::read(&p.0).unwrap();
+        for op in &ops[40..80] {
+            w.append(op).unwrap();
+        }
+        let now: Vec<PathBuf> = segment_files(&p.0).unwrap().into_iter().map(|(_, s)| s).collect();
+        assert_eq!(now, sealed.iter().map(|(s, _)| s.clone()).collect::<Vec<_>>());
+        for (s, bytes) in &sealed {
+            assert_eq!(&std::fs::read(s).unwrap(), bytes, "{} changed", s.display());
+        }
+        let grown = std::fs::read(&p.0).unwrap();
+        assert!(grown.len() > active.len() && grown.starts_with(&active), "appends land in active");
+        assert_eq!(read_log_chain(&p.0).unwrap().0, ops[..80]);
+        // Once staging works again, rotation resumes and nothing is lost.
+        std::fs::remove_dir(&staged).unwrap();
+        for op in &ops[80..] {
+            w.append(op).unwrap();
+        }
+        assert!(segment_files(&p.0).unwrap().len() > sealed.len());
+        assert!(!staged.exists(), "the staged file is renamed into place");
+        drop(w);
+        assert_eq!(read_log_chain(&p.0).unwrap().0, ops);
+        assert_eq!(LogWriter::open(&p.0, 0, None).unwrap().1.records, 120);
     }
 }

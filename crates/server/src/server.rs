@@ -916,7 +916,8 @@ fn encode_traced_op(top: &crate::repl::hub::TracedOp, out: &mut Vec<u8>) {
 }
 
 /// The default INFO payload: the server section, replication, stats,
-/// latency, and one line per shard with its recovery provenance.
+/// latency, and one line per shard with its recovery provenance: how
+/// the pool came up and what the redo-log open cut or reset.
 ///
 /// Everything here is **O(shards)**: per-shard key counts come from the
 /// engine's counters, never a scan, so monitoring can poll INFO at any
@@ -939,10 +940,13 @@ fn info_text(inner: &Inner) -> String {
     out.push_str("# shards\r\n");
     for (i, (info, n)) in infos.iter().zip(&keys).enumerate() {
         out.push_str(&format!(
-            "shard{i}:keys={n},recovered={},clean={},version={}\r\n",
+            "shard{i}:keys={n},recovered={},clean={},version={},\
+             log_truncated_bytes={},log_reset={}\r\n",
             u8::from(info.recovered),
             u8::from(info.clean),
             info.version,
+            info.log_truncated_bytes,
+            u8::from(info.log_reset),
         ));
     }
     out

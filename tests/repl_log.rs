@@ -6,7 +6,7 @@
 
 use dash_repro::dash_server::repl::log::{read_log, LogWriter};
 use dash_repro::dash_server::ReplOp;
-use dash_repro::{EngineConfig, ShardedDash};
+use dash_repro::{EngineConfig, EngineError, ShardedDash};
 
 mod common;
 use common::TempDir;
@@ -248,5 +248,40 @@ fn offset_recovers_across_restarts() {
     let (k, v) = kv(999);
     store.set(&k, &v).unwrap();
     assert_eq!(store.repl_offset(), 121);
+    store.close().unwrap();
+}
+
+/// Shards open side by side, but a shard whose log cannot be opened
+/// still fails the open with a plain `ReplLog` error naming that file —
+/// no panic — and with two bad shards the lower index is the one named.
+#[test]
+fn an_unopenable_shard_log_fails_open_naming_the_file() {
+    let src = TempDir::new("repl-log-unopenable");
+    {
+        let store = ShardedDash::open(&dir_cfg(&src, 4)).unwrap();
+        for i in 0..100 {
+            let (k, v) = kv(i);
+            store.set(&k, &v).unwrap();
+        }
+        store.close().unwrap();
+    }
+    let bad = [src.path.join("repl-2.log"), src.path.join("repl-3.log")];
+    for log in &bad {
+        std::fs::remove_file(log).unwrap();
+        std::fs::create_dir(log).unwrap();
+    }
+    match ShardedDash::open(&dir_cfg(&src, 4)).err().expect("a directory is not a log") {
+        EngineError::ReplLog(msg) => {
+            assert!(msg.contains(&bad[0].display().to_string()), "{msg}")
+        }
+        other => panic!("want a ReplLog error naming repl-2.log, got {other:?}"),
+    }
+    // Without the directories the logs start afresh and the store opens
+    // with every key (the pools hold the state).
+    for log in &bad {
+        std::fs::remove_dir(log).unwrap();
+    }
+    let store = ShardedDash::open(&dir_cfg(&src, 4)).unwrap();
+    assert_eq!(store.len(), 100);
     store.close().unwrap();
 }

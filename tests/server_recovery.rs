@@ -188,3 +188,57 @@ fn mixed_90_10_over_four_connections_zero_errors() {
     });
     server.shutdown();
 }
+
+/// The value of `field` on one of INFO's `shard{i}:` lines.
+fn shard_field(info: &str, shard: usize, field: &str) -> String {
+    let prefix = format!("shard{shard}:");
+    info.lines()
+        .filter_map(|l| l.strip_prefix(&prefix))
+        .flat_map(|l| l.split(','))
+        .find_map(|kv| kv.strip_prefix(field)?.strip_prefix('='))
+        .unwrap_or_else(|| panic!("no {prefix}{field} in {info}"))
+        .to_string()
+}
+
+/// INFO reports what each shard's redo-log open did: a torn tail shows
+/// as `log_truncated_bytes`, a corrupt header as `log_reset=1`, and an
+/// intact log as neither. The pools are unaffected either way.
+#[test]
+fn info_reports_redo_log_truncation_and_reset() {
+    let dir = TempDir::new("server-log-recovery");
+    const N: u32 = 600;
+    {
+        let store = ShardedDash::open(&dir_cfg(&dir, 3)).unwrap();
+        for i in 0..N {
+            let (k, v) = kv(i);
+            store.set(&k, &v).unwrap();
+        }
+        // Crash-style teardown: no close().
+    }
+    // Shard 0: a torn half-record at the tail. Shard 1: one flipped
+    // magic byte. Shard 2: untouched.
+    let torn = dir.path.join("repl-0.log");
+    let mut bytes = std::fs::read(&torn).unwrap();
+    bytes.extend_from_slice(&[40, 0, 0, 0, 1, 2, 3]);
+    std::fs::write(&torn, &bytes).unwrap();
+    let flipped = dir.path.join("repl-1.log");
+    let mut bytes = std::fs::read(&flipped).unwrap();
+    let flipped_len = bytes.len();
+    bytes[0] ^= 0x01;
+    std::fs::write(&flipped, &bytes).unwrap();
+
+    let server = serve(ShardedDash::open(&dir_cfg(&dir, 3)).unwrap(), "127.0.0.1:0").unwrap();
+    let mut c = RespClient::connect(server.addr()).unwrap();
+    let Value::Bulk(info) = c.command(&[b"INFO"]).unwrap() else {
+        panic!("INFO must return a bulk string");
+    };
+    let info = String::from_utf8(info).unwrap();
+    assert_eq!(shard_field(&info, 0, "log_truncated_bytes"), "7", "{info}");
+    assert_eq!(shard_field(&info, 0, "log_reset"), "0", "{info}");
+    assert_eq!(shard_field(&info, 1, "log_reset"), "1", "{info}");
+    assert_eq!(shard_field(&info, 1, "log_truncated_bytes"), flipped_len.to_string(), "{info}");
+    assert_eq!(shard_field(&info, 2, "log_truncated_bytes"), "0", "{info}");
+    assert_eq!(shard_field(&info, 2, "log_reset"), "0", "{info}");
+    assert_eq!(c.command(&[b"DBSIZE"]).unwrap(), Value::Integer(N as i64));
+    server.shutdown();
+}
