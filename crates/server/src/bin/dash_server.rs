@@ -71,7 +71,8 @@ OPTIONS:
                        this address (GET /metrics); off when omitted
     --slowlog-threshold-us N
                        record commands slower than N microseconds in
-                       SLOWLOG (default 10000; 0 logs everything)
+                       SLOWLOG, a view over the TRACE flight recorder
+                       (default 10000; 0 logs everything)
     --log-file PATH    append structured JSON-lines logs to PATH instead
                        of stderr (one {\"ts_ms\",\"level\",\"target\",
                        \"msg\"} object per line)

@@ -338,7 +338,7 @@ impl RespClient {
 
     // ---- SLOWLOG ----------------------------------------------------------
 
-    /// `SLOWLOG LEN`: entries currently retained in the ring.
+    /// `SLOWLOG LEN`: entries SLOWLOG currently lists.
     pub fn slowlog_len(&mut self) -> std::io::Result<i64> {
         match self.command(&[b"SLOWLOG", b"LEN"])? {
             Value::Integer(n) => Ok(n),
@@ -346,7 +346,7 @@ impl RespClient {
         }
     }
 
-    /// `SLOWLOG RESET`: drop every retained entry (ids keep counting).
+    /// `SLOWLOG RESET`: hide every listed entry (ids keep counting).
     pub fn slowlog_reset(&mut self) -> std::io::Result<()> {
         match self.command(&[b"SLOWLOG", b"RESET"])? {
             Value::Simple(s) if s == "OK" => Ok(()),
@@ -444,7 +444,7 @@ pub struct SlowlogEntry {
     pub worker: i64,
     /// Per-stage nanoseconds in the server's stage order (queue_wait,
     /// parse, dispatch, lock_wait, execute, persist, reply_flush) —
-    /// present when the slow command was also a captured trace.
+    /// present when the slow command's span was sampled or forced.
     pub stages_ns: Option<Vec<i64>>,
 }
 

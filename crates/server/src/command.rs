@@ -20,7 +20,7 @@ use crate::metrics::CmdFamily;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum KeySpec {
     /// Not keyed: node-local or administrative, bypasses the slot gate
-    /// (`SCAN`/`KEYS`/`DBSIZE`/`SNAPSHOT` deliberately stay node-local).
+    /// (`SCAN`/`DBSIZE`/`SNAPSHOT` deliberately stay node-local).
     None,
     /// The first argument.
     First,
@@ -91,7 +91,6 @@ command_table! {
     Pttl      = "PTTL",       Other,  false,  First,  1..=1;
     Persist   = "PERSIST",    Other,  true,   First,  1..=1;
     Scan      = "SCAN",       Scan,   false,  None,   1..=3;
-    Keys      = "KEYS",       Other,  false,  None,   1..=1;
     Snapshot  = "SNAPSHOT",   Other,  false,  None,   1..=1;
     Ping      = "PING",       Other,  false,  None,   0..=1;
     // DBSIZE deletes due keys first, but only on a primary (the expiry

@@ -1224,8 +1224,8 @@ impl ShardedDash {
         }
     }
 
-    /// Every key in the store, by draining the scan (test/debug helper
-    /// behind the `KEYS` command — O(total keys), not for production).
+    /// Every key in the store, by draining the scan (test/debug helper —
+    /// O(total keys), not for production).
     pub fn keys(&self) -> EngineResult<Vec<Vec<u8>>> {
         let mut all = Vec::new();
         let mut cursor = 0u64;

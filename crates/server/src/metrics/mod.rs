@@ -1,15 +1,15 @@
 //! The server's telemetry layer: a registry-free, lock-free set of
-//! counters, gauges, per-command-family latency histograms and the
-//! SLOWLOG ring — everything `INFO stats` / `INFO latency`, the
-//! `SLOWLOG` command and the `--metrics-addr` Prometheus endpoint read.
+//! counters, gauges and per-command-family latency histograms —
+//! everything `INFO stats` / `INFO latency` and the `--metrics-addr`
+//! Prometheus endpoint read. Slow requests are not recorded here:
+//! `SLOWLOG` is a view over the flight recorder ([`crate::trace`]).
 //!
 //! Design constraints, in order:
 //!
 //! * **The hot path pays almost nothing.** Recording a command is one
-//!   `Instant` pair around `execute`, two relaxed `fetch_add`s into a
-//!   thread-local stripe ([`histogram`]), and one relaxed load for the
-//!   slowlog threshold. No locks, no allocation, no shared cacheline
-//!   between event workers.
+//!   `Instant` pair around `execute` and two relaxed `fetch_add`s into
+//!   a thread-local stripe ([`histogram`]). No locks, no allocation, no
+//!   shared cacheline between event workers.
 //! * **Readers pay the aggregation.** INFO and a scrape sum the
 //!   stripes; both are O(shards + buckets), never O(keys).
 //! * **Nothing is counted twice.** The event core's health counters
@@ -19,15 +19,10 @@
 
 pub mod counter;
 pub mod histogram;
-pub mod slowlog;
 pub(crate) mod prometheus;
 
 pub use counter::{Counter, Gauge};
 pub use histogram::{HistSnapshot, Histogram};
-pub use slowlog::SlowLog;
-
-/// Default `--slowlog-threshold-us`: 10 ms.
-pub const DEFAULT_SLOWLOG_THRESHOLD_US: u64 = 10_000;
 
 /// The command families latency is recorded under. Coarse on purpose:
 /// a family is a latency *class* (point read, point write, batch read,
@@ -97,17 +92,15 @@ pub struct Metrics {
     /// Per-family execute-seam latency, indexed by [`CmdFamily::index`].
     pub cmd_hist: [Histogram; CmdFamily::COUNT],
     /// Per-stage latency by command family, `stage_hist[stage][family]`
-    /// — fed only by sampled trace completions (so the un-sampled hot
-    /// path never touches it), rendered as
+    /// — fed only by sampled and forced trace completions (so the
+    /// un-sampled hot path never touches it), rendered as
     /// `dash_stage_seconds{stage,cmd}` on the Prometheus endpoint.
     /// Boxed: 7×8 striped histograms are a few hundred KB.
     pub stage_hist: Box<[[Histogram; CmdFamily::COUNT]; crate::trace::Stage::COUNT]>,
-    /// The SLOWLOG ring.
-    pub slowlog: SlowLog,
 }
 
-impl Metrics {
-    pub fn new(slowlog_threshold_us: u64) -> Metrics {
+impl Default for Metrics {
+    fn default() -> Metrics {
         Metrics {
             connections_accepted: Counter::new(),
             commands_served: Counter::new(),
@@ -119,30 +112,22 @@ impl Metrics {
             stage_hist: Box::new(std::array::from_fn(|_| {
                 std::array::from_fn(|_| Histogram::new())
             })),
-            slowlog: SlowLog::new(slowlog_threshold_us),
         }
     }
+}
 
-    /// Record one executed command: time and slowlog it. Called at the
-    /// `conn.rs` execute seam with the decoded command, its family from
-    /// the command table and its execute time in nanoseconds;
-    /// `stages_ns` carries the stage breakdown when this request was
-    /// trace-sampled, so SLOWLOG entries can explain themselves.
+impl Metrics {
+    /// Record one executed command's time. Called at the `conn.rs`
+    /// execute seam with its family from the command table and its
+    /// execute time in nanoseconds.
     #[inline]
-    pub fn observe_command(
-        &self,
-        family: CmdFamily,
-        parts: &[Vec<u8>],
-        ns: u64,
-        worker: u64,
-        stages_ns: Option<[u64; crate::trace::Stage::COUNT]>,
-    ) {
+    pub fn observe_command(&self, family: CmdFamily, ns: u64) {
         self.cmd_hist[family.index()].record(ns);
-        self.slowlog.maybe_record(ns, parts, worker, stages_ns);
     }
 
-    /// Feed one completed sampled span into the per-stage histograms.
-    /// Runs once per *captured* trace, never on the un-sampled path.
+    /// Feed one completed span's stage split into the per-stage
+    /// histograms. Runs once per sampled or forced trace, never on the
+    /// un-sampled path.
     pub fn observe_stages(&self, family: CmdFamily, stages_ns: &[u64; crate::trace::Stage::COUNT]) {
         for (stage_row, &ns) in self.stage_hist.iter().zip(stages_ns) {
             stage_row[family.index()].record(ns);
@@ -165,27 +150,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn observe_routes_to_family_and_slowlog() {
-        let m = Metrics::new(0); // threshold 0: everything is "slow"
-        m.observe_command(CmdFamily::Get, &[b"GET".to_vec(), b"k".to_vec()], 5_000, 1, None);
-        m.observe_command(
-            CmdFamily::Set,
-            &[b"SET".to_vec(), b"k".to_vec(), b"v".to_vec()],
-            7_000,
-            2,
-            None,
-        );
+    fn observe_routes_to_family() {
+        let m = Metrics::default();
+        m.observe_command(CmdFamily::Get, 5_000);
+        m.observe_command(CmdFamily::Set, 7_000);
         assert_eq!(m.cmd_snapshot(CmdFamily::Get).count(), 1);
         assert_eq!(m.cmd_snapshot(CmdFamily::Set).count(), 1);
         assert_eq!(m.cmd_snapshot(CmdFamily::Other).count(), 0);
-        assert_eq!(m.slowlog.len(), 2);
-        assert_eq!(m.slowlog.get(1)[0].cmd, "SET");
     }
 
     #[test]
     fn stage_observations_land_in_their_cells_only() {
         use crate::trace::Stage;
-        let m = Metrics::new(1_000_000);
+        let m = Metrics::default();
         m.observe_stages(CmdFamily::Set, &[10, 20, 30, 40, 50, 60, 70]);
         for stage in Stage::ALL {
             assert_eq!(m.stage_snapshot(stage, CmdFamily::Set).count(), 1);

@@ -5,7 +5,8 @@
 //! snapshotted and written as cumulative `_bucket`/`_sum`/`_count`
 //! series (bounds converted from nanoseconds to seconds for `le`), and
 //! the engine/replication gauges are sampled — no locks beyond the
-//! slowlog's (untouched here) and the repl hub's sink-list read lock.
+//! flight-recorder rings' (read for `dash_slowlog_len`) and the repl
+//! hub's sink-list read lock.
 //! Nothing scans the keyspace: per-shard key counts come from the
 //! O(shards) counters, so a scrape is safe at any poll frequency.
 
@@ -27,7 +28,7 @@ pub(crate) fn render(inner: &Inner) -> String {
     counter(&mut out, "dash_worker_panics_total", "Caught connection-handler and worker panics.", m.worker_panics.get());
     gauge_i(&mut out, "dash_active_connections", "Connections currently registered on an event loop.", m.active_connections.get());
     gauge_i(&mut out, "dash_event_workers", "Event-loop worker pool size.", inner.event_workers as i64);
-    gauge_i(&mut out, "dash_slowlog_len", "Entries currently retained in the SLOWLOG ring.", m.slowlog.len() as i64);
+    gauge_i(&mut out, "dash_slowlog_len", "Entries SLOWLOG currently lists.", inner.tracer.slowlog_len() as i64);
 
     // Per-command latency histograms, one labeled series per family.
     help_type(&mut out, "dash_cmd_latency_seconds", "Command execution latency at the execute seam.", "histogram");
@@ -36,10 +37,10 @@ pub(crate) fn render(inner: &Inner) -> String {
         write_histogram(&mut out, "dash_cmd_latency_seconds", fam.name(), &snap);
     }
 
-    // Per-stage latency from sampled traces: {stage, cmd} series.
-    // Families a stage never observed are skipped — with tracing off
-    // the whole block renders nothing but HELP/TYPE.
-    help_type(&mut out, "dash_stage_seconds", "Per-stage request latency from sampled traces.", "histogram");
+    // Per-stage latency from sampled and forced traces: {stage, cmd}
+    // series. Families a stage never observed are skipped — with no
+    // such trace the whole block renders nothing but HELP/TYPE.
+    help_type(&mut out, "dash_stage_seconds", "Per-stage request latency from sampled and forced traces.", "histogram");
     for stage in crate::trace::Stage::ALL {
         for fam in CmdFamily::ALL {
             let snap = m.stage_snapshot(stage, fam);

@@ -20,7 +20,8 @@
 //! The slow paths keep their blocking shape deliberately: `SHUTDOWN`'s
 //! `+OK` and the `PSYNC` handoff flush with a bounded blocking write,
 //! because both are once-per-connection events whose next act (server
-//! teardown, replication streaming) is blocking anyway.
+//! teardown, replication streaming) is blocking anyway. Spans pending
+//! on the connection complete after that flush like after any other.
 
 use std::collections::VecDeque;
 use std::io::{self, ErrorKind, Read, Write};
@@ -48,7 +49,8 @@ const HIGH_WATER: usize = 1 << 20;
 const COMPACT_AT: usize = 1 << 20;
 /// Captured spans that may await their reply-flush completion on one
 /// connection. A deeply pipelined connection past this loses its oldest
-/// spans (counted as abandoned) rather than growing without bound.
+/// spans (counted as abandoned) rather than growing without bound, so it
+/// also bounds what one pipelined burst leaves in SLOWLOG.
 const PENDING_TRACE_CAP: usize = 128;
 /// Bytes of key kept for the worker-panic log line.
 const PANIC_CTX_LEN: usize = 24;
@@ -83,8 +85,8 @@ enum Ran {
 
 pub(crate) struct Conn {
     stream: TcpStream,
-    /// Id of the event-loop worker driving this connection (SLOWLOG
-    /// entries carry it, so a hot worker is attributable).
+    /// Id of the event-loop worker driving this connection (its spans
+    /// carry it, so a hot worker is attributable).
     worker: u64,
     rbuf: Vec<u8>,
     consumed: usize,
@@ -208,6 +210,7 @@ impl Conn {
                     // whole server winds down, so blocking (bounded by
                     // the write timeout) costs nothing.
                     let _ = self.flush_blocking();
+                    self.complete_traces(inner);
                     inner.begin_shutdown();
                     return Ok(Drive::Close);
                 }
@@ -216,6 +219,7 @@ impl Conn {
                     // failure here closes instead of streaming to a
                     // replica that already lost its socket.
                     self.flush_blocking()?;
+                    self.complete_traces(inner);
                     return Ok(Drive::Replicate);
                 }
                 Ran::Drained => {
@@ -298,26 +302,24 @@ impl Conn {
                     // gates, the histograms and the trace all read `cmd`.
                     let cmd = command::resolve(&parts[0]);
                     // The instrumentation seam: every executed command is
-                    // timed here, and the elapsed time feeds the per-family
-                    // histogram and (if over threshold) the SLOWLOG. A
-                    // command is *captured* — full per-stage attribution —
-                    // when a TRACEID forced it or the 1-in-N sampler picked
-                    // it; everything else pays only the timestamps below.
+                    // timed here into its family's histogram. A command
+                    // gets the full per-stage split when a TRACEID forced
+                    // it or the 1-in-N sampler picked it; one too slow for
+                    // either threshold is captured with a coarse split.
+                    // Everything else pays only the timestamps below.
                     let queue_start = self.cmd_mark.take();
                     let forced = self.session.trace_force.take();
                     let tracing = inner.tracer.enabled();
-                    let captured =
+                    let split =
                         forced.is_some() || (tracing && inner.tracer.sample_tick());
-                    let span_id = if captured {
-                        let id = match forced {
-                            Some((id, _)) => id,
-                            None => inner.tracer.alloc_id(),
-                        };
-                        trace::begin_span(id);
-                        id
-                    } else {
-                        0
+                    let span_id = match forced {
+                        Some((id, _)) => id,
+                        None if split => inner.tracer.alloc_id(),
+                        None => 0,
                     };
+                    if split {
+                        trace::begin_span(span_id);
+                    }
                     self.note_panic_context(cmd.map_or("", |c| c.name), &parts, span_id);
                     let started = Instant::now();
                     let outcome = execute(cmd, &parts, inner, &mut self.session);
@@ -325,62 +327,46 @@ impl Conn {
                     let exec_ns = dur_ns(exec_end - started);
                     // End the span whatever the outcome, so the
                     // thread-locals are disarmed before the next command.
-                    let detail = if captured {
-                        Some(trace::end_span(started, exec_ns))
-                    } else {
-                        None
-                    };
+                    let detail = split.then(|| trace::end_span(started, exec_ns));
                     self.panic_span = 0;
-                    let mut stages: Option<[u64; Stage::COUNT]> = None;
-                    let mut pre_total_ns = 0u64;
-                    if tracing || captured {
+                    let family = cmd.map_or(CmdFamily::Other, |c| c.family);
+                    inner.metrics.observe_command(family, exec_ns);
+                    let ran = match outcome {
+                        Outcome::Reply(v) => {
+                            encode(&v, &mut self.wbuf);
+                            None
+                        }
+                        Outcome::Shutdown => {
+                            encode(&Value::Simple("OK".into()), &mut self.wbuf);
+                            Some(Ran::Shutdown)
+                        }
+                        Outcome::StartReplication => Some(Ran::Replicate),
+                    };
+                    let slow = inner.tracer.is_slow(exec_ns);
+                    if tracing || split || slow {
                         let queue_ns =
                             queue_start.map_or(0, |t| dur_ns(t_parse.saturating_duration_since(t)));
                         let parse_ns = dur_ns(started.saturating_duration_since(t_parse));
                         let total = queue_ns + parse_ns + exec_ns;
                         let threshold_ns = inner.tracer.threshold_us().saturating_mul(1000);
-                        let mut s = [0u64; Stage::COUNT];
-                        s[Stage::QueueWait.index()] = queue_ns;
-                        s[Stage::Parse.index()] = parse_ns;
-                        if let Some(d) = detail {
-                            s[Stage::Dispatch.index()] = d.dispatch_ns;
-                            s[Stage::LockWait.index()] = d.lock_wait_ns;
-                            s[Stage::Execute.index()] = d.execute_ns;
-                            s[Stage::Persist.index()] = d.persist_ns;
-                        } else {
-                            // Not sampled, but maybe slow enough to
-                            // capture anyway — coarse: the whole execute
-                            // seam lands in the execute stage.
-                            s[Stage::Execute.index()] = exec_ns;
-                        }
-                        if detail.is_some() || (threshold_ns > 0 && total >= threshold_ns) {
-                            stages = Some(s);
-                            pre_total_ns = total;
+                        let over = tracing && threshold_ns > 0 && total >= threshold_ns;
+                        if split || slow || over {
+                            let (id, hops, reason) = match forced {
+                                Some((id, hops)) => (id, hops, trace::Reason::Forced),
+                                None if split => (span_id, 0, trace::Reason::Sampled),
+                                None => (inner.tracer.alloc_id(), 0, trace::Reason::Threshold),
+                            };
+                            let stages = detail
+                                .unwrap_or(trace::SpanDetail::coarse(exec_ns))
+                                .stages(queue_ns, parse_ns);
+                            let rec = trace::TraceRecord::new(
+                                id, hops, &parts, self.worker, stages, total, reason,
+                            );
+                            self.push_pending_trace(inner, rec, family, exec_end);
                         }
                     }
-                    let family = cmd.map_or(CmdFamily::Other, |c| c.family);
-                    inner.metrics.observe_command(family, &parts, exec_ns, self.worker, stages);
-                    match outcome {
-                        Outcome::Reply(v) => {
-                            encode(&v, &mut self.wbuf);
-                            if let Some(s) = stages {
-                                self.push_pending_trace(
-                                    inner,
-                                    &parts,
-                                    family,
-                                    span_id,
-                                    forced,
-                                    s,
-                                    pre_total_ns,
-                                    exec_end,
-                                );
-                            }
-                        }
-                        Outcome::Shutdown => {
-                            encode(&Value::Simple("OK".into()), &mut self.wbuf);
-                            return Ran::Shutdown;
-                        }
-                        Outcome::StartReplication => return Ran::Replicate,
+                    if let Some(ran) = ran {
+                        return ran;
                     }
                     // The next pipelined command has been queued since
                     // this one finished.
@@ -438,32 +424,22 @@ impl Conn {
         Ok(())
     }
 
-    /// Queue a captured span to complete when its reply bytes reach the
-    /// kernel. The reply-flush stage and the final record are stamped in
+    /// Give a captured span its capture sequence number and queue it to
+    /// complete when its reply bytes reach the kernel. The reply-flush
+    /// stage is stamped and the record published in
     /// [`Conn::complete_traces`].
-    #[allow(clippy::too_many_arguments)]
     fn push_pending_trace(
         &mut self,
         inner: &Inner,
-        parts: &[Vec<u8>],
+        mut rec: trace::TraceRecord,
         family: CmdFamily,
-        span_id: u64,
-        forced: Option<(u64, u32)>,
-        stages_ns: [u64; Stage::COUNT],
-        pre_total_ns: u64,
         exec_end: Instant,
     ) {
+        rec.seq = inner.tracer.next_seq();
         if self.pending_traces.len() >= PENDING_TRACE_CAP {
             self.pending_traces.pop_front();
             inner.tracer.note_abandoned(1);
         }
-        let (id, hops, reason) = match forced {
-            Some((fid, hops)) => (fid, hops, trace::Reason::Forced),
-            None if span_id != 0 => (span_id, 0, trace::Reason::Sampled),
-            None => (inner.tracer.alloc_id(), 0, trace::Reason::Threshold),
-        };
-        let rec =
-            trace::TraceRecord::new(id, hops, parts, self.worker, stages_ns, pre_total_ns, reason);
         self.pending_traces.push_back(PendingTrace {
             rec,
             family,
@@ -474,7 +450,8 @@ impl Conn {
 
     /// Complete every pending span whose reply bytes have fully reached
     /// the kernel: stamp the reply-flush stage, publish the record to
-    /// the flight recorder, and feed the per-stage histograms.
+    /// the flight recorder, and feed the per-stage histograms when the
+    /// span has a real stage split (a coarse one would skew them).
     fn complete_traces(&mut self, inner: &Inner) {
         if self.pending_traces.is_empty() {
             return;
@@ -488,7 +465,9 @@ impl Conn {
             let flush_ns = dur_ns(now.saturating_duration_since(pt.exec_end));
             pt.rec.stages_ns[Stage::ReplyFlush.index()] = flush_ns;
             pt.rec.total_ns += flush_ns;
-            inner.metrics.observe_stages(pt.family, &pt.rec.stages_ns);
+            if pt.rec.has_stage_split() {
+                inner.metrics.observe_stages(pt.family, &pt.rec.stages_ns);
+            }
             inner.tracer.record(pt.rec);
         }
     }

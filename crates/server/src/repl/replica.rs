@@ -320,17 +320,12 @@ fn session(inner: &Inner, master: &str) -> io::Result<()> {
 /// Queue-wait/parse/reply-flush are zero by construction — a replica
 /// apply has no client-visible ingress or egress.
 fn apply_traced(inner: &Inner, op: ReplOp, trace_id: u64) -> io::Result<()> {
-    use crate::trace::{self, Reason, Stage, TraceRecord, REPL_WORKER};
+    use crate::trace::{self, Reason, TraceRecord, REPL_WORKER};
     trace::begin_span(trace_id);
     let start = std::time::Instant::now();
     let res = inner.engine.apply_ops(std::slice::from_ref(&op));
     let total_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    let d = trace::end_span(start, total_ns);
-    let mut stages_ns = [0u64; Stage::COUNT];
-    stages_ns[Stage::Dispatch.index()] = d.dispatch_ns;
-    stages_ns[Stage::LockWait.index()] = d.lock_wait_ns;
-    stages_ns[Stage::Execute.index()] = d.execute_ns;
-    stages_ns[Stage::Persist.index()] = d.persist_ns;
+    let stages_ns = trace::end_span(start, total_ns).stages(0, 0);
     inner.tracer.record(op.with_command(|parts| {
         TraceRecord::new(trace_id, 0, parts, REPL_WORKER, stages_ns, total_ns, Reason::Repl)
     }));

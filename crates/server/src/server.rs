@@ -46,7 +46,7 @@ use parking_lot::Mutex;
 
 use crate::command::{Cmd, Command};
 use crate::engine::ShardedDash;
-use crate::metrics::{CmdFamily, Metrics, DEFAULT_SLOWLOG_THRESHOLD_US};
+use crate::metrics::{CmdFamily, Metrics};
 use crate::net::EventFd;
 use crate::resp::{encode, encode_command, parse_arg, Value};
 
@@ -82,8 +82,9 @@ pub struct ServeOptions {
     /// (`GET /metrics`). Served by the accept loop itself — no extra
     /// threads. `None` disables the endpoint.
     pub metrics_addr: Option<String>,
-    /// SLOWLOG threshold in microseconds; commands at or above it are
-    /// recorded. `None` = `DEFAULT_SLOWLOG_THRESHOLD_US`.
+    /// SLOWLOG threshold in microseconds; commands whose execute seam is
+    /// at or above it are captured into the flight recorder and listed
+    /// by SLOWLOG. `None` = [`crate::trace::DEFAULT_THRESHOLD_US`].
     pub slowlog_threshold_us: Option<u64>,
     /// Enable cluster mode, announcing this `host:port` to peers and
     /// clients (what redirects and the slot map record for this node).
@@ -96,13 +97,14 @@ pub(crate) struct Inner {
     pub(crate) engine: ShardedDash,
     pub(crate) shutdown: AtomicBool,
     pub(crate) addr: SocketAddr,
-    /// The telemetry registry: every health counter, the per-command
-    /// latency histograms and the SLOWLOG ring. The single home for
-    /// these numbers — `net/` increments here, and INFO, SLOWLOG and
-    /// the metrics endpoint all render from here.
+    /// The telemetry registry: every health counter and the
+    /// per-command latency histograms. The single home for these
+    /// numbers — `net/` increments here, and INFO and the metrics
+    /// endpoint both render from here.
     pub(crate) metrics: Metrics,
-    /// The request-tracing control plane: sampling knobs, span ids, and
-    /// the per-worker flight-recorder rings behind `TRACE DUMP`.
+    /// The request-tracing control plane: sampling knobs, capture
+    /// thresholds, span ids, and the per-worker flight-recorder rings
+    /// behind `TRACE DUMP` and `SLOWLOG`.
     pub(crate) tracer: crate::trace::Tracer,
     /// Where the Prometheus endpoint is bound (`--metrics-addr`).
     pub(crate) metrics_addr: Option<SocketAddr>,
@@ -331,10 +333,10 @@ pub fn serve_with(
         engine,
         shutdown: AtomicBool::new(false),
         addr,
-        metrics: Metrics::new(
-            opts.slowlog_threshold_us.unwrap_or(DEFAULT_SLOWLOG_THRESHOLD_US),
+        metrics: Metrics::default(),
+        tracer: crate::trace::Tracer::new(
+            opts.slowlog_threshold_us.unwrap_or(crate::trace::DEFAULT_THRESHOLD_US),
         ),
-        tracer: crate::trace::Tracer::new(),
         metrics_addr,
         event_workers,
         wakes: Mutex::new(Vec::new()),
@@ -572,12 +574,6 @@ pub(crate) fn execute(
                 ])
             })
         }
-        // Test-only: enumerates the whole store in one reply. Only the
-        // match-everything pattern is supported; use SCAN in production.
-        Cmd::Keys if args[0] != b"*" => err("only the '*' pattern is supported"),
-        Cmd::Keys => {
-            reply(engine.keys(), |keys| Value::Array(keys.into_iter().map(Value::Bulk).collect()))
-        }
         Cmd::Snapshot => match std::str::from_utf8(&args[0]) {
             Ok(path) => reply(engine.snapshot_to(std::path::Path::new(path)), |count| {
                 Value::Integer(count as i64)
@@ -611,16 +607,16 @@ pub(crate) fn execute(
             };
             Outcome::Reply(Value::Bulk(text(inner).into_bytes()))
         }
-        // The slow-command ring: `SLOWLOG GET [n]` (newest first),
-        // `SLOWLOG LEN`, `SLOWLOG RESET`. Entries are arrays shaped like
-        // Redis's: id, unix time, duration µs, [command, key prefix],
-        // plus the serving worker id.
+        // The slow-command view over the flight recorder: `SLOWLOG GET
+        // [n]` (newest first), `SLOWLOG LEN`, `SLOWLOG RESET`. Entries
+        // are arrays shaped like Redis's: id, unix time, duration µs,
+        // [command, key prefix], plus the serving worker id.
         Cmd::Slowlog => match args {
             [sub] if sub.eq_ignore_ascii_case(b"LEN") => {
-                Outcome::Reply(Value::Integer(inner.metrics.slowlog.len() as i64))
+                Outcome::Reply(Value::Integer(inner.tracer.slowlog_len() as i64))
             }
             [sub] if sub.eq_ignore_ascii_case(b"RESET") => {
-                inner.metrics.slowlog.reset();
+                inner.tracer.slowlog_reset();
                 ok()
             }
             [sub] | [sub, _] if sub.eq_ignore_ascii_case(b"GET") => {
@@ -632,34 +628,9 @@ pub(crate) fn execute(
                     },
                     _ => 10,
                 };
-                let entries = inner
-                    .metrics
-                    .slowlog
-                    .get(n)
-                    .into_iter()
-                    .map(|e| {
-                        let mut fields = vec![
-                            Value::Integer(e.id as i64),
-                            Value::Integer(e.unix_secs as i64),
-                            Value::Integer(e.duration_us as i64),
-                            Value::Array(vec![
-                                Value::Bulk(e.cmd.into_bytes()),
-                                Value::Bulk(e.key.into_bytes()),
-                            ]),
-                            Value::Integer(e.worker as i64),
-                        ];
-                        // The sampled trace's stage breakdown, when the
-                        // tracer captured the same request: 7 integers
-                        // (ns) in `Stage::ALL` order.
-                        if let Some(stages) = e.stages_ns {
-                            fields.push(Value::Array(
-                                stages.iter().map(|&ns| Value::Integer(ns as i64)).collect(),
-                            ));
-                        }
-                        Value::Array(fields)
-                    })
-                    .collect();
-                Outcome::Reply(Value::Array(entries))
+                Outcome::Reply(Value::Array(
+                    inner.tracer.slowlog(n).iter().map(slowlog_entry_value).collect(),
+                ))
             }
             _ => err("SLOWLOG subcommand must be GET [count], LEN or RESET"),
         },
@@ -812,6 +783,23 @@ fn trace_command(inner: &Inner, args: &[Vec<u8>]) -> Outcome {
             "TRACE subcommand must be ON [SAMPLE n], OFF, DUMP [n], GET <id>, THRESHOLD <us>, STATUS or RESET",
         ),
     }
+}
+
+/// One SLOWLOG entry on the wire. A span with a real stage split
+/// (sampled or forced) grows a sixth field: its seven stage durations
+/// (ns) in `Stage::ALL` order.
+fn slowlog_entry_value(r: &crate::trace::TraceRecord) -> Value {
+    let mut fields = vec![
+        Value::Integer(r.seq as i64),
+        Value::Integer((r.unix_ms / 1000) as i64),
+        Value::Integer((r.exec_ns() / 1000) as i64),
+        Value::Array(vec![Value::bulk(r.cmd.as_bytes()), Value::bulk(r.key.as_bytes())]),
+        Value::Integer(r.worker as i64),
+    ];
+    if r.has_stage_split() {
+        fields.push(Value::Array(r.stages_ns.iter().map(|&ns| Value::Integer(ns as i64)).collect()));
+    }
+    Value::Array(fields)
 }
 
 /// One flight-recorder span on the wire: a flat array alternating
@@ -967,8 +955,8 @@ fn stats_info_text(inner: &Inner) -> String {
     out.push_str(&format!("active_connections:{}\r\n", m.active_connections.get()));
     out.push_str(&format!("accept_errors:{}\r\n", m.accept_errors.get()));
     out.push_str(&format!("worker_panics:{}\r\n", m.worker_panics.get()));
-    out.push_str(&format!("slowlog_len:{}\r\n", m.slowlog.len()));
-    out.push_str(&format!("slowlog_threshold_us:{}\r\n", m.slowlog.threshold_us()));
+    out.push_str(&format!("slowlog_len:{}\r\n", inner.tracer.slowlog_len()));
+    out.push_str(&format!("slowlog_threshold_us:{}\r\n", inner.tracer.slowlog_threshold_us()));
     out.push_str(&format!("trace_enabled:{}\r\n", u8::from(inner.tracer.enabled())));
     out.push_str(&format!("trace_sample_every:{}\r\n", inner.tracer.sample_every()));
     out.push_str(&format!("traces_captured:{}\r\n", inner.tracer.captured_total()));

@@ -24,19 +24,24 @@
 //! `persist` are subtracted.
 //!
 //! **Cost discipline.** Full stage detail is only collected for
-//! *captured* requests — 1-in-N sampled ([`Tracer::sample_every`]),
-//! forced by `TRACEID` (trace propagation), or over the latency
-//! threshold (coarse, from timestamps already taken). A non-captured
-//! request on a tracing-enabled server pays two extra `Instant` reads
-//! and a thread-local counter bump; with tracing off it pays one
-//! relaxed atomic load. The engine/pmem hooks behind `lock_wait` and
-//! `persist` check a thread-local flag and do nothing when no span is
-//! active, so the un-sampled hot path never takes a timestamp there.
+//! requests 1-in-N sampled ([`Tracer::sample_every`]) or forced by
+//! `TRACEID` (trace propagation). A request is also captured, coarsely
+//! and from timestamps already taken, when it crosses `TRACE THRESHOLD`
+//! with tracing on, or when its execute seam crosses the slowlog
+//! threshold (checked always). A non-captured request on a
+//! tracing-enabled server pays two extra `Instant` reads and a
+//! thread-local counter bump; with tracing off it pays two relaxed
+//! atomic loads (the enabled flag and the slowlog threshold). The
+//! engine/pmem hooks behind `lock_wait` and `persist` check a
+//! thread-local flag and do nothing when no span is active, so the
+//! un-sampled hot path never takes a timestamp there.
 //!
 //! Captured spans land in fixed-size per-worker flight-recorder rings
 //! ([`Tracer::record`]), dumpable on demand (`TRACE DUMP`,
 //! `TRACE GET <id>`) and on worker panic — a tail-latency spike or a
-//! crash always leaves a forensic record. Trace identity propagates:
+//! crash always leaves a forensic record. `SLOWLOG` is a view over the
+//! same rings ([`Tracer::slowlog`]): the retained spans whose execute
+//! seam reached the slowlog threshold. Trace identity propagates:
 //! a cluster client re-sends its correlation id with an incremented
 //! hop count after every MOVED/ASK redirect, and a traced write on the
 //! primary emits `TRACEID` into the PSYNC tail so the replica records
@@ -56,18 +61,20 @@ use parking_lot::{Mutex, RwLock};
 pub const RING_CAP: usize = 256;
 /// Default `TRACE ON` sampling period (1-in-N).
 pub const DEFAULT_SAMPLE: u64 = 64;
-/// Default always-capture threshold in microseconds (aligned with the
-/// SLOWLOG default): a request slower than this is recorded even when
-/// the sampler did not pick it. 0 disables threshold capture.
+/// Default of both capture thresholds, in microseconds: `TRACE
+/// THRESHOLD` (0 disables threshold capture) and
+/// `--slowlog-threshold-us` (0 logs everything).
 pub const DEFAULT_THRESHOLD_US: u64 = 10_000;
+/// Entries `SLOWLOG GET`/`LEN` list at most.
+pub const SLOWLOG_CAP: usize = 128;
 /// Worker id recorded for spans captured on the replica sync thread.
 pub const REPL_WORKER: u64 = u64::MAX;
-/// Bytes of key kept in a span or SLOWLOG entry (enough to identify a
-/// key family without copying a whole 1 MB key).
+/// Bytes of key kept in a span (enough to identify a key family
+/// without copying a whole 1 MB key).
 const KEY_PREFIX_LEN: usize = 32;
 
-/// How spans and SLOWLOG entries show a request: the command name
-/// uppercased and a bounded prefix of its first key.
+/// How a span shows its request: the command name uppercased and a
+/// bounded prefix of its first key.
 pub(crate) fn describe<P: AsRef<[u8]>>(parts: &[P]) -> (String, String) {
     let field = |i: usize, len: usize| {
         parts.get(i).map_or_else(String::new, |p| {
@@ -125,8 +132,9 @@ impl Stage {
 pub enum Reason {
     /// The 1-in-N sampler picked it (full stage detail).
     Sampled,
-    /// Over the latency threshold but not sampled — stage detail is
-    /// coarse (`execute` holds the whole execute-seam time).
+    /// Over `TRACE THRESHOLD` or the slowlog threshold but not sampled
+    /// — stage detail is coarse (`execute` holds the whole execute-seam
+    /// time).
     Threshold,
     /// Forced by a `TRACEID` command (cluster/client propagation).
     Forced,
@@ -168,6 +176,9 @@ pub struct TraceRecord {
     pub reason: Reason,
     /// Per-stage nanoseconds, indexed by [`Stage::index`].
     pub stages_ns: [u64; Stage::COUNT],
+    /// Capture order on this server ([`Tracer::next_seq`]), the id
+    /// `SLOWLOG` shows. 0 for `repl` spans, which SLOWLOG leaves out.
+    pub seq: u64,
 }
 
 impl TraceRecord {
@@ -197,6 +208,7 @@ impl TraceRecord {
             total_ns,
             reason,
             stages_ns,
+            seq: 0,
         }
     }
 
@@ -206,17 +218,37 @@ impl TraceRecord {
     pub fn stage_sum_ns(&self) -> u64 {
         self.stages_ns.iter().sum()
     }
+
+    /// The execute seam: dispatch + lock_wait + execute + persist,
+    /// which [`end_span`] makes equal to the measured execute time.
+    pub fn exec_ns(&self) -> u64 {
+        self.stages_ns[Stage::Dispatch.index()..=Stage::Persist.index()].iter().sum()
+    }
+
+    /// Whether the execute seam is split into its four stages (sampled
+    /// and forced spans) rather than coarse (threshold spans).
+    pub fn has_stage_split(&self) -> bool {
+        matches!(self.reason, Reason::Sampled | Reason::Forced)
+    }
 }
 
 type Ring = Mutex<VecDeque<TraceRecord>>;
 
 /// The tracing control plane, owned by `server::Inner`: on/off, the
-/// sampling knobs, the id allocator, and the per-worker rings.
+/// sampling knobs, the capture thresholds, the id allocators, and the
+/// per-worker rings.
 pub struct Tracer {
     enabled: AtomicBool,
     sample_every: AtomicU64,
     threshold_us: AtomicU64,
+    /// `--slowlog-threshold-us`: execute seams at or above it are
+    /// captured whether or not tracing is on, and listed by SLOWLOG.
+    slowlog_threshold_us: AtomicU64,
     next_id: AtomicU64,
+    /// Next [`TraceRecord::seq`].
+    next_seq: AtomicU64,
+    /// `SLOWLOG RESET` hides spans whose `seq` is below this.
+    slowlog_floor: AtomicU64,
     /// Spans captured into a ring since start.
     captured: AtomicU64,
     /// Captured spans whose reply-flush completion was never observed
@@ -231,17 +263,20 @@ pub struct Tracer {
 
 impl Default for Tracer {
     fn default() -> Self {
-        Self::new()
+        Self::new(DEFAULT_THRESHOLD_US)
     }
 }
 
 impl Tracer {
-    pub fn new() -> Tracer {
+    pub fn new(slowlog_threshold_us: u64) -> Tracer {
         Tracer {
             enabled: AtomicBool::new(false),
             sample_every: AtomicU64::new(DEFAULT_SAMPLE),
             threshold_us: AtomicU64::new(DEFAULT_THRESHOLD_US),
+            slowlog_threshold_us: AtomicU64::new(slowlog_threshold_us),
             next_id: AtomicU64::new(1),
+            next_seq: AtomicU64::new(0),
+            slowlog_floor: AtomicU64::new(0),
             captured: AtomicU64::new(0),
             abandoned: AtomicU64::new(0),
             rings: RwLock::new(Vec::new()),
@@ -275,6 +310,17 @@ impl Tracer {
         self.threshold_us.store(us, Ordering::SeqCst);
     }
 
+    pub fn slowlog_threshold_us(&self) -> u64 {
+        self.slowlog_threshold_us.load(Ordering::Relaxed)
+    }
+
+    /// Did this execute seam reach the slowlog threshold? The one check
+    /// every request pays, traced or not.
+    #[inline]
+    pub fn is_slow(&self, exec_ns: u64) -> bool {
+        exec_ns / 1_000 >= self.slowlog_threshold_us()
+    }
+
     pub fn captured_total(&self) -> u64 {
         self.captured.load(Ordering::Relaxed)
     }
@@ -290,6 +336,12 @@ impl Tracer {
     /// Allocate a fresh span id (unique on this server, never 0).
     pub fn alloc_id(&self) -> u64 {
         self.next_id.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// Allocate the next capture sequence number: local, monotonic and
+    /// never reused, unlike span ids, which `TRACEID` can force.
+    pub fn next_seq(&self) -> u64 {
+        self.next_seq.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Should this command be sampled? One thread-local counter bump;
@@ -333,15 +385,21 @@ impl Tracer {
         self.captured.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Every retained span that `keep` accepts, across all rings.
+    fn collect(&self, keep: impl Fn(&TraceRecord) -> bool) -> Vec<TraceRecord> {
+        let rings: Vec<Arc<Ring>> =
+            self.rings.read().iter().map(|(_, r)| r.clone()).collect();
+        let mut out = Vec::new();
+        for ring in rings {
+            out.extend(ring.lock().iter().filter(|r| keep(r)).cloned());
+        }
+        out
+    }
+
     /// The most recent `n` spans across every worker ring, newest
     /// first (by completion time, id as the tiebreak).
     pub fn dump(&self, n: usize) -> Vec<TraceRecord> {
-        let rings: Vec<Arc<Ring>> =
-            self.rings.read().iter().map(|(_, r)| r.clone()).collect();
-        let mut all: Vec<TraceRecord> = Vec::new();
-        for ring in rings {
-            all.extend(ring.lock().iter().cloned());
-        }
+        let mut all = self.collect(|_| true);
         all.sort_by_key(|r| std::cmp::Reverse((r.unix_ms, r.id)));
         all.truncate(n);
         all
@@ -351,14 +409,34 @@ impl Tracer {
     /// behind `TRACE GET <id>`, which must find propagated spans by
     /// their cross-server correlation id.
     pub fn get(&self, id: u64) -> Vec<TraceRecord> {
-        let rings: Vec<Arc<Ring>> =
-            self.rings.read().iter().map(|(_, r)| r.clone()).collect();
-        let mut out = Vec::new();
-        for ring in rings {
-            out.extend(ring.lock().iter().filter(|r| r.id == id || r.origin == id).cloned());
-        }
+        let mut out = self.collect(|r| r.id == id || r.origin == id);
         out.sort_by_key(|r| (r.unix_ms, r.id));
         out
+    }
+
+    /// The SLOWLOG view: retained spans whose execute seam reached the
+    /// slowlog threshold, captured since the last `SLOWLOG RESET`,
+    /// newest (highest `seq`) first, at most `n` and [`SLOWLOG_CAP`].
+    /// `repl` spans are left out: they did not serve a client.
+    pub fn slowlog(&self, n: usize) -> Vec<TraceRecord> {
+        let floor = self.slowlog_floor.load(Ordering::Relaxed);
+        let mut out = self.collect(|r| {
+            r.reason != Reason::Repl && r.seq >= floor && self.is_slow(r.exec_ns())
+        });
+        out.sort_by_key(|r| std::cmp::Reverse(r.seq));
+        out.truncate(n.min(SLOWLOG_CAP));
+        out
+    }
+
+    /// Entries `SLOWLOG GET -1` would list.
+    pub fn slowlog_len(&self) -> usize {
+        self.slowlog(SLOWLOG_CAP).len()
+    }
+
+    /// `SLOWLOG RESET`: hide every span captured so far (the rings keep
+    /// them for `TRACE DUMP`; ids keep counting).
+    pub fn slowlog_reset(&self) {
+        self.slowlog_floor.store(self.next_seq.load(Ordering::Relaxed), Ordering::Relaxed);
     }
 
     /// Spans currently retained across all rings.
@@ -370,7 +448,8 @@ impl Tracer {
         self.len() == 0
     }
 
-    /// Clear every ring (ids keep counting).
+    /// Clear every ring, and with them what SLOWLOG lists (ids keep
+    /// counting).
     pub fn reset(&self) {
         for (_, r) in self.rings.read().iter() {
             r.lock().clear();
@@ -463,6 +542,21 @@ pub struct SpanDetail {
     pub persist_ns: u64,
 }
 
+impl SpanDetail {
+    /// The attribution of a span captured without a stage split: the
+    /// whole execute seam lands in `execute`.
+    pub fn coarse(exec_ns: u64) -> SpanDetail {
+        SpanDetail { dispatch_ns: 0, lock_wait_ns: 0, execute_ns: exec_ns, persist_ns: 0 }
+    }
+
+    /// The seven stages in [`Stage::ALL`] order; reply-flush is stamped
+    /// when the reply reaches the kernel.
+    pub fn stages(self, queue_ns: u64, parse_ns: u64) -> [u64; Stage::COUNT] {
+        let d = self;
+        [queue_ns, parse_ns, d.dispatch_ns, d.lock_wait_ns, d.execute_ns, d.persist_ns, 0]
+    }
+}
+
 /// Disarm the span scratch and attribute the execute seam:
 /// `dispatch` = entry → first engine touch (whole seam if the command
 /// never touched the engine), `execute` = engine residual after lock
@@ -501,12 +595,23 @@ mod tests {
             total_ns: 1_000,
             reason: Reason::Sampled,
             stages_ns: [100, 100, 100, 100, 400, 100, 100],
+            seq: id,
         }
+    }
+
+    /// A client span whose execute seam took `exec_us`, recorded under
+    /// the next capture sequence number.
+    fn slow(t: &Tracer, exec_us: u64, reason: Reason) -> u64 {
+        let seq = t.next_seq();
+        let stages = SpanDetail::coarse(exec_us * 1_000).stages(0, 0);
+        let parts: [&[u8]; 2] = [b"get", b"some-key"];
+        t.record(TraceRecord { seq, ..TraceRecord::new(seq + 1, 0, &parts, 3, stages, 0, reason) });
+        seq
     }
 
     #[test]
     fn sampler_honors_period_and_zero_disables() {
-        let t = Tracer::new();
+        let t = Tracer::default();
         t.set_sample_every(4);
         let hits = (0..100).filter(|_| t.sample_tick()).count();
         assert_eq!(hits, 25, "1-in-4 over 100 ticks");
@@ -516,7 +621,7 @@ mod tests {
 
     #[test]
     fn rings_wrap_and_dump_merges_newest_first() {
-        let t = Tracer::new();
+        let t = Tracer::default();
         for i in 0..(RING_CAP as u64 + 10) {
             t.record(rec(t.alloc_id(), 0, i));
         }
@@ -534,7 +639,7 @@ mod tests {
 
     #[test]
     fn get_matches_id_and_origin() {
-        let t = Tracer::new();
+        let t = Tracer::default();
         let mut propagated = rec(77, 0, 1);
         propagated.origin = 42; // arrived via TRACEID from another node
         t.record(propagated);
@@ -542,6 +647,59 @@ mod tests {
         assert_eq!(t.get(42).len(), 2, "matches own id and propagated origin");
         assert_eq!(t.get(77).len(), 1);
         assert!(t.get(9_999).is_empty());
+    }
+
+    #[test]
+    fn slowlog_view_filters_on_the_execute_seam() {
+        let t = Tracer::new(100);
+        slow(&t, 99, Reason::Threshold);
+        assert_eq!(t.slowlog_len(), 0, "under-threshold span must not be listed");
+        slow(&t, 100, Reason::Threshold);
+        slow(&t, 500, Reason::Repl);
+        let entries = t.slowlog(10);
+        assert_eq!(entries.len(), 1, "repl spans are not client requests: {entries:?}");
+        let e = &entries[0];
+        assert_eq!((e.seq, e.exec_ns(), e.worker), (1, 100_000, 3));
+        assert_eq!((e.cmd.as_str(), e.key.as_str()), ("GET", "some-key"));
+        assert!(e.unix_ms > 0);
+        assert_eq!(t.len(), 3, "the rings keep every span for TRACE DUMP");
+    }
+
+    #[test]
+    fn slowlog_view_caps_newest_first_and_reset_keeps_ids_counting() {
+        let t = Tracer::new(0);
+        for _ in 0..(SLOWLOG_CAP as u64 + 40) {
+            slow(&t, 1, Reason::Threshold);
+        }
+        assert_eq!(t.slowlog_len(), SLOWLOG_CAP, "SLOWLOG lists at most SLOWLOG_CAP");
+        let top = SLOWLOG_CAP as u64 + 39;
+        let ids: Vec<u64> = t.slowlog(3).iter().map(|r| r.seq).collect();
+        assert_eq!(ids, vec![top, top - 1, top - 2], "GET returns newest first");
+        let all = t.slowlog(usize::MAX);
+        assert_eq!(all.last().unwrap().seq, top - SLOWLOG_CAP as u64 + 1);
+        t.slowlog_reset();
+        assert_eq!(t.slowlog_len(), 0);
+        assert_eq!(t.len(), SLOWLOG_CAP + 40, "RESET hides spans, TRACE DUMP keeps them");
+        assert_eq!(slow(&t, 5, Reason::Threshold), top + 1);
+        assert_eq!(t.slowlog(1)[0].seq, top + 1, "ids keep counting across RESET");
+    }
+
+    #[test]
+    fn only_sampled_and_forced_spans_carry_a_stage_split() {
+        let t = Tracer::new(0);
+        for reason in [Reason::Sampled, Reason::Threshold, Reason::Forced] {
+            slow(&t, 9, reason);
+        }
+        let split: Vec<bool> = t.slowlog(3).iter().map(TraceRecord::has_stage_split).collect();
+        assert_eq!(split, vec![true, false, true]);
+    }
+
+    #[test]
+    fn long_keys_are_truncated() {
+        let parts = [b"get".to_vec(), vec![b'k'; 500]];
+        let rec = TraceRecord::new(1, 0, &parts, 0, [0; Stage::COUNT], 0, Reason::Threshold);
+        assert_eq!(rec.key.len(), KEY_PREFIX_LEN);
+        assert_eq!(rec.cmd, "GET");
     }
 
     #[test]
@@ -588,7 +746,7 @@ mod tests {
 
     #[test]
     fn concurrent_workers_record_without_interference() {
-        let t = Arc::new(Tracer::new());
+        let t = Arc::new(Tracer::default());
         std::thread::scope(|s| {
             for w in 0..4u64 {
                 let t = t.clone();

@@ -1,4 +1,4 @@
-//! `SCAN` / `KEYS` over the wire: cursor pagination through the sharded
+//! `SCAN` over the wire: cursor pagination through the sharded
 //! engine's packed u64 cursors, the at-least-once guarantee under
 //! concurrent writers, and the `INFO scan_len` consistency field.
 #![cfg(unix)]
@@ -110,25 +110,6 @@ fn scan_under_concurrent_writers_keeps_stable_keys() {
             );
         }
     });
-    server.shutdown();
-}
-
-#[test]
-fn keys_command_is_scan_in_one_reply() {
-    let server = mem_server(2);
-    let mut c = RespClient::connect(server.addr()).unwrap();
-    for i in 0..50u32 {
-        c.command(&[b"SET", format!("k{i}").as_bytes(), b"v"]).unwrap();
-    }
-    let Value::Array(keys) = c.command(&[b"KEYS", b"*"]).unwrap() else {
-        panic!("KEYS must return an array");
-    };
-    assert_eq!(keys.len(), 50);
-    // Only the match-everything pattern is supported (test-only command).
-    let Value::Error(e) = c.command(&[b"KEYS", b"k*"]).unwrap() else {
-        panic!("non-* patterns must error");
-    };
-    assert!(e.contains("pattern"), "{e}");
     server.shutdown();
 }
 

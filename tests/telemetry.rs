@@ -9,6 +9,7 @@ use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
+use dash_repro::dash_server::Value;
 use dash_repro::{serve_with, EngineConfig, RespClient, ServeOptions, ServerHandle, ShardedDash};
 
 /// An in-memory server with the telemetry knobs under test.
@@ -104,6 +105,87 @@ fn slowlog_default_threshold_ignores_fast_commands() {
         c.command(&[b"SET", format!("fast:{i}").as_bytes(), b"v"]).unwrap();
     }
     assert_eq!(c.slowlog_len().unwrap(), 0, "fast commands must not be logged");
+    server.shutdown();
+}
+
+/// `TRACE STATUS` field `name`.
+fn trace_status(c: &mut RespClient, name: &str) -> i64 {
+    let Value::Array(items) = c.command(&[b"TRACE", b"STATUS"]).unwrap() else {
+        panic!("TRACE STATUS must reply an array");
+    };
+    items
+        .chunks_exact(2)
+        .find_map(|pair| match pair {
+            [Value::Bulk(k), Value::Integer(v)] if k == name.as_bytes() => Some(*v),
+            _ => None,
+        })
+        .unwrap_or_else(|| panic!("TRACE STATUS has no {name}"))
+}
+
+#[test]
+fn pipelined_burst_past_the_pending_cap_is_abandoned_and_bounds_slowlog() {
+    // Slow requests travel the flight recorder's pending-span path, so
+    // one connection's pipelined burst keeps at most PENDING_TRACE_CAP
+    // (128) spans awaiting their reply flush; older ones are abandoned.
+    let server = telemetry_server(
+        1,
+        16,
+        ServeOptions {
+            slowlog_threshold_us: Some(0),
+            metrics_addr: Some("127.0.0.1:0".into()),
+            ..Default::default()
+        },
+    );
+    let mut c = RespClient::connect(server.addr()).unwrap();
+    assert_eq!(trace_status(&mut c, "abandoned"), 0);
+    const ISSUED: usize = 1000; // ~30 KB: one write, one read burst
+    for i in 0..ISSUED {
+        c.enqueue(&[b"SET", format!("burst:{i:04}").as_bytes(), b"v"]);
+    }
+    c.flush().unwrap();
+    for _ in 0..ISSUED {
+        c.read_reply().unwrap();
+    }
+    let abandoned = trace_status(&mut c, "abandoned");
+    assert!(abandoned > 0, "a {ISSUED}-deep burst must overflow the pending cap");
+    assert_eq!(c.stat_u64("traces_abandoned").unwrap(), abandoned as u64);
+    let (_, body) = http_get(server.metrics_addr().unwrap(), "GET /metrics HTTP/1.0\r\n\r\n");
+    assert!(
+        body.lines().any(|l| l == format!("dash_traces_abandoned_total {abandoned}")),
+        "{body}"
+    );
+    assert_eq!(c.slowlog_len().unwrap(), 128);
+    let last = format!("burst:{:04}", ISSUED - 1);
+    assert!(c.slowlog_get(128).unwrap().iter().any(|e| e.key == last), "newest SET is listed");
+    server.shutdown();
+}
+
+#[test]
+fn stage_histograms_take_only_spans_with_a_stage_split() {
+    let server = telemetry_server(
+        1,
+        16,
+        ServeOptions { metrics_addr: Some("127.0.0.1:0".into()), ..Default::default() },
+    );
+    let metrics_addr = server.metrics_addr().unwrap();
+    let scrape = || http_get(metrics_addr, "GET /metrics HTTP/1.0\r\n\r\n").1;
+    let mut c = RespClient::connect(server.addr()).unwrap();
+    // Sampler off, threshold 1 µs: every command is captured, but with
+    // the coarse split that would skew the per-stage histograms.
+    c.command(&[b"TRACE", b"ON", b"SAMPLE", b"0"]).unwrap();
+    c.command(&[b"TRACE", b"THRESHOLD", b"1"]).unwrap();
+    for i in 0..20 {
+        c.command(&[b"SET", format!("coarse:{i}").as_bytes(), b"v"]).unwrap();
+    }
+    let dump = c.trace_dump(64).unwrap();
+    assert!(dump.iter().any(|t| t.reason == "threshold"), "{dump:?}");
+    assert!(!scrape().contains("dash_stage_seconds_bucket"), "threshold spans must not feed it");
+
+    c.trace_on(Some(1)).unwrap();
+    for i in 0..20 {
+        c.command(&[b"SET", format!("split:{i}").as_bytes(), b"v"]).unwrap();
+    }
+    assert!(scrape().contains("dash_stage_seconds_bucket"), "sampled spans must feed it");
     server.shutdown();
 }
 

@@ -260,6 +260,33 @@ fn slowlog_attaches_stage_breakdown() {
     server.shutdown();
 }
 
+/// Spans still pending when a connection turns into a replication
+/// stream complete after the handoff's blocking flush, instead of being
+/// dropped with the connection state.
+#[test]
+fn spans_pending_at_the_psync_handoff_are_recorded() {
+    let server = serve(ShardedDash::open(&mem_cfg(2)).unwrap(), "127.0.0.1:0").unwrap();
+    let mut c = RespClient::connect(server.addr()).unwrap();
+    c.trace_on(Some(1)).unwrap();
+    let abandoned = trace_status(&mut c)["abandoned"];
+
+    // PING and PSYNC in one write: PING's span is still pending when
+    // PSYNC hands the socket to the replication stream.
+    let mut replica = RespClient::connect(server.addr()).unwrap();
+    replica.enqueue(&[b"PING"]);
+    replica.enqueue(&[b"PSYNC", b"?", b"-1"]);
+    replica.flush().unwrap();
+    assert_eq!(replica.read_reply().unwrap(), Value::Simple("PONG".into()));
+
+    wait_for("the PING and PSYNC spans", || {
+        let dump = c.trace_dump(64).unwrap();
+        dump.iter().any(|t| t.cmd == "PING") && dump.iter().any(|t| t.cmd == "PSYNC")
+    });
+    assert_eq!(trace_status(&mut c)["abandoned"], abandoned, "nothing was lost at the handoff");
+    drop(replica);
+    server.shutdown();
+}
+
 /// TRACEID makes the client a tracing participant: the forced span is
 /// captured on the primary, rides the replication tail, and lands in
 /// the replica's flight recorder under the same id with reason "repl".
